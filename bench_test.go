@@ -84,10 +84,10 @@ func benchDatasetTable(b *testing.B, name string) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(res.Summary.Distinct()), "distinct-types")
-	b.ReportMetric(res.Summary.AvgSize(), "avg-type-size")
+	b.ReportMetric(float64(res.DistinctTypes), "distinct-types")
+	b.ReportMetric(res.AvgTypeSize, "avg-type-size")
 	b.ReportMetric(float64(res.Fused.Size()), "fused-size")
-	if avg := res.Summary.AvgSize(); avg > 0 {
+	if avg := res.AvgTypeSize; avg > 0 {
 		b.ReportMetric(float64(res.Fused.Size())/avg, "fused-to-avg-ratio")
 	}
 }
@@ -321,7 +321,7 @@ func BenchmarkAblationPositional(b *testing.B) {
 		cfg := experiments.Config{}
 		if positional {
 			name = "positional"
-			cfg.Fusion = fusion.Options{PreserveTuples: true}
+			cfg.Fusion = fusion.Options{Strategy: fusion.Tuples{}}
 		}
 		b.Run(name, func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
@@ -413,47 +413,6 @@ func BenchmarkInferNDJSON(b *testing.B) {
 	}
 }
 
-// BenchmarkInferNDJSONDedup is BenchmarkInferNDJSON on the hash-consed
-// fast path (Options.Dedup): interned types, multiset map phase and the
-// memoized fuse cache. The schema is byte-identical to the default
-// path; the difference between the two benches is the whole point of
-// docs/PERFORMANCE.md (CI records it in BENCH_perf.json).
-func BenchmarkInferNDJSONDedup(b *testing.B) {
-	g, _ := dataset.New("twitter")
-	data := dataset.NDJSON(g, benchScale(), 1)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := jsi.InferNDJSON(data, jsi.Options{Dedup: jsi.DedupOn}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkInferNDJSONAuto is BenchmarkInferNDJSON under the adaptive
-// mode (Options.Dedup DedupAuto) on the two skew extremes: twitter
-// settles on the hash-consed path, wikidata's all-distinct records
-// degrade to the plain payload mid-chunk. CI's -benchtime=1x smoke runs
-// both routes, and BENCH_perf.json's worst_case_regression_pct tracks
-// how close auto stays to the better fixed mode (docs/PERFORMANCE.md).
-func BenchmarkInferNDJSONAuto(b *testing.B) {
-	for _, name := range []string{"twitter", "wikidata"} {
-		b.Run(name, func(b *testing.B) {
-			g, _ := dataset.New(name)
-			data := dataset.NDJSON(g, benchScale(), 1)
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := jsi.InferNDJSON(data, jsi.Options{Dedup: jsi.DedupAuto}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkInferNDJSONObserved is BenchmarkInferNDJSON with a Collector
 // installed: the difference between the two is the full cost of
 // observing a run (atomic counters, histogram observations, timing
@@ -495,7 +454,7 @@ func BenchmarkProfile(b *testing.B) {
 	data := dataset.NDJSON(g, 1000, 1)
 	b.SetBytes(int64(len(data)))
 	for i := 0; i < b.N; i++ {
-		if _, err := jsi.ProfileNDJSON(data, jsi.Options{}); err != nil {
+		if _, _, err := jsi.InferProfile(context.Background(), jsi.FromBytes(data), jsi.Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}

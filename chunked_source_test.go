@@ -23,22 +23,18 @@ func TestFromChunkedReaderMatchesBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dedup := range []jsi.DedupMode{jsi.DedupOff, jsi.DedupOn, jsi.DedupAuto} {
-		o := opts
-		o.Dedup = dedup
-		got, gotStats, err := jsi.Infer(ctx, jsi.FromChunkedReader(bytes.NewReader(data)), o)
-		if err != nil {
-			t.Fatalf("dedup=%v: %v", dedup, err)
-		}
-		if got.String() != want.String() {
-			t.Errorf("dedup=%v: schema = %s, want %s", dedup, got, want)
-		}
-		if gotStats.Records != wantStats.Records {
-			t.Errorf("dedup=%v: records = %d, want %d", dedup, gotStats.Records, wantStats.Records)
-		}
-		if gotStats.Bytes != int64(len(data)) {
-			t.Errorf("dedup=%v: bytes = %d, want %d", dedup, gotStats.Bytes, len(data))
-		}
+	got, gotStats, err := jsi.Infer(ctx, jsi.FromChunkedReader(bytes.NewReader(data)), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("schema = %s, want %s", got, want)
+	}
+	if gotStats.Records != wantStats.Records {
+		t.Errorf("records = %d, want %d", gotStats.Records, wantStats.Records)
+	}
+	if gotStats.Bytes != int64(len(data)) {
+		t.Errorf("bytes = %d, want %d", gotStats.Bytes, len(data))
 	}
 }
 
@@ -49,7 +45,7 @@ func TestFromChunkedReaderMatchesBytes(t *testing.T) {
 // newline at all (ChunkLines must flush the unterminated tail at EOF
 // rather than drop it). Both must infer the same schema and record
 // count as the canonical LF-terminated buffer, including across chunk
-// boundaries (tiny ChunkBytes) and on both pipelines.
+// boundaries (tiny ChunkBytes).
 func TestFromChunkedReaderLineEndings(t *testing.T) {
 	const n = 200
 	var lf, crlf, noFinalNL bytes.Buffer
@@ -76,21 +72,19 @@ func TestFromChunkedReaderLineEndings(t *testing.T) {
 		{"no final newline", noFinalNL.Bytes()},
 		{"crlf, unterminated tail", bytes.TrimSuffix(crlf.Bytes(), []byte("\r\n"))},
 	} {
-		for _, dedup := range []jsi.DedupMode{jsi.DedupOff, jsi.DedupOn, jsi.DedupAuto} {
-			opts := jsi.Options{Workers: 3, ChunkBytes: 256, Dedup: dedup}
-			got, gotStats, err := jsi.Infer(ctx, jsi.FromChunkedReader(bytes.NewReader(tc.data)), opts)
-			if err != nil {
-				t.Fatalf("%s (dedup=%v): %v", tc.label, dedup, err)
-			}
-			if got.String() != want.String() {
-				t.Errorf("%s (dedup=%v): schema = %s, want %s", tc.label, dedup, got, want)
-			}
-			if gotStats.Records != wantStats.Records {
-				t.Errorf("%s (dedup=%v): records = %d, want %d", tc.label, dedup, gotStats.Records, wantStats.Records)
-			}
-			if gotStats.Bytes != int64(len(tc.data)) {
-				t.Errorf("%s (dedup=%v): bytes = %d, want %d", tc.label, dedup, gotStats.Bytes, len(tc.data))
-			}
+		opts := jsi.Options{Workers: 3, ChunkBytes: 256}
+		got, gotStats, err := jsi.Infer(ctx, jsi.FromChunkedReader(bytes.NewReader(tc.data)), opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.label, err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("%s: schema = %s, want %s", tc.label, got, want)
+		}
+		if gotStats.Records != wantStats.Records {
+			t.Errorf("%s: records = %d, want %d", tc.label, gotStats.Records, wantStats.Records)
+		}
+		if gotStats.Bytes != int64(len(tc.data)) {
+			t.Errorf("%s: bytes = %d, want %d", tc.label, gotStats.Bytes, len(tc.data))
 		}
 	}
 }

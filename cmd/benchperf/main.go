@@ -1,25 +1,23 @@
-// Command benchperf measures what the hash-consed fast path buys and
-// writes the result as JSON (the BENCH_perf.json artifact CI uploads).
+// Command benchperf measures the inference pipeline's cost per dataset
+// and writes the result as JSON (the BENCH_perf.json artifact CI
+// uploads).
 //
 // For each paper dataset it benchmarks the public InferNDJSON pipeline
-// five times over the same synthetic data — Options zero value,
-// Options.Dedup on, Dedup auto (the adaptive mode), Options.Enrich
-// "all", and Options.TaggedUnions — recording ns/op, B/op, allocs/op,
-// the exact distinct-type count the dedup run reports, the enrichment
-// lattice's and tagged-union policy's overheads over the default run,
-// and worst_case_regression_pct: the worst gap between the adaptive
-// mode and the better fixed mode across the grid. The headline comparison is
-// InferNDJSON/twitter dedup-on against the committed observability
-// baseline (-baseline BENCH_obs.json, whose nil_recorder_ns_per_op was
-// measured on the same workload); docs/PERFORMANCE.md explains how to
-// read the report.
+// three times over the same synthetic data — Options zero value,
+// Options.Enrich "all", and Options.TaggedUnions — recording ns/op,
+// B/op, allocs/op, the exact distinct-type count the run reports, and
+// the enrichment lattice's and tagged-union policy's overheads over
+// the default run. The headline compares InferNDJSON/twitter against
+// the committed observability baseline (-baseline BENCH_obs.json,
+// whose nil_recorder_ns_per_op was measured on the same workload);
+// docs/PERFORMANCE.md explains how to read the report.
 //
-// The report also pins the refactor cost of the unified
-// internal/pipeline engine: -prev (default BENCH_perf.json, i.e. the
-// committed artifact when run from the repo root) supplies the previous
-// report, and pipeline_overhead_pct records how far this run's twitter
-// dedup ns/op sits above it. The budget is 5%; a missing or unreadable
-// -prev file skips the comparison so fresh checkouts still work.
+// The report also tracks drift: -prev (default BENCH_perf.json, i.e.
+// the committed artifact when run from the repo root) supplies the
+// previous report, and pipeline_overhead_pct records how far this
+// run's twitter ns/op sits above it. The budget is 5%; a missing or
+// unreadable -prev file skips the comparison so fresh checkouts still
+// work.
 //
 // Usage:
 //
@@ -52,17 +50,15 @@ type Measurement struct {
 	AllocsPerOp int64 `json:"allocs_per_op"`
 }
 
-// DatasetResult compares the default and dedup pipelines on one dataset.
+// DatasetResult measures the pipeline on one dataset.
 type DatasetResult struct {
 	Dataset string `json:"dataset"`
 	// Records is the number of records inferred per iteration.
 	Records int `json:"records"`
-	// DistinctTypes is the exact count the dedup run reports
-	// (Stats.DistinctTypes); the default in-memory path reports the same
-	// number, pinning that dedup changes cost, not results.
+	// DistinctTypes is the exact count the default run reports
+	// (Stats.DistinctTypes).
 	DistinctTypes int         `json:"distinct_types"`
 	Default       Measurement `json:"default"`
-	Dedup         Measurement `json:"dedup"`
 	// Enriched measures the same workload with every enrichment monoid
 	// on (Options.Enrich "all"); EnrichOverheadPct is its ns/op above
 	// Default — the documented, paid-only-when-asked-for cost of the
@@ -78,18 +74,6 @@ type DatasetResult struct {
 	// pipeline_overhead_pct budget.
 	Tagged            Measurement `json:"tagged"`
 	TaggedOverheadPct float64     `json:"tagged_overhead_pct"`
-	// Auto measures the adaptive mode (Options.Dedup DedupAuto), which
-	// samples each chunk and degrades to the plain path when
-	// hash-consing cannot pay for itself. AutoVsBestPct is its ns/op
-	// relative to the better of Default and Dedup on this dataset
-	// (positive = auto is slower than the best fixed mode) — auto's
-	// whole promise is that this stays near zero on every distribution.
-	Auto          Measurement `json:"auto"`
-	AutoVsBestPct float64     `json:"auto_vs_best_pct"`
-	// NsImprovementPct and AllocsReductionPct compare dedup against the
-	// default run above (positive = dedup is better).
-	NsImprovementPct   float64 `json:"ns_improvement_pct"`
-	AllocsReductionPct float64 `json:"allocs_reduction_pct"`
 }
 
 // Report is the schema of BENCH_perf.json.
@@ -99,21 +83,18 @@ type Report struct {
 	Benchmark string          `json:"benchmark"`
 	Datasets  []DatasetResult `json:"datasets"`
 	// BaselineNsPerOp is nil_recorder_ns_per_op from the BENCH_obs.json
-	// passed via -baseline: the committed pre-dedup measurement of the
-	// same InferNDJSON/twitter workload.
+	// passed via -baseline: the committed measurement of the same
+	// InferNDJSON/twitter workload.
 	BaselineNsPerOp int64 `json:"baseline_ns_per_op,omitempty"`
-	// HeadlineNsImprovementPct is twitter dedup-on versus that baseline;
-	// HeadlineAllocsReductionPct is twitter dedup-on versus dedup-off
-	// (BENCH_obs predates allocation reporting, so allocs compare
-	// in-run). The acceptance floors are 25 and 40.
-	HeadlineNsImprovementPct   *float64 `json:"headline_ns_improvement_pct,omitempty"`
-	HeadlineAllocsReductionPct float64  `json:"headline_allocs_reduction_pct"`
-	// PrevDedupNsPerOp is the twitter dedup ns/op read from the previous
-	// report (-prev) — the committed fast-path measurement predating this
-	// run. PipelineOverheadPct is how far this run's twitter dedup ns/op
-	// sits above it: the cost of routing every entry point through the
-	// unified internal/pipeline engine (positive = regression, budget 5%).
-	// Both are omitted when no previous report is available.
+	// HeadlineNsImprovementPct is twitter default versus that baseline
+	// (positive = faster).
+	HeadlineNsImprovementPct *float64 `json:"headline_ns_improvement_pct,omitempty"`
+	// PrevDedupNsPerOp is the twitter default ns/op read from the
+	// previous report (-prev): the committed measurement of the
+	// deduplicating chunked path, predating this run.
+	// PipelineOverheadPct is how far this run's twitter ns/op sits above
+	// it (positive = regression, budget 5%). Both are omitted when no
+	// previous report is available.
 	PrevDedupNsPerOp    int64    `json:"prev_dedup_ns_per_op,omitempty"`
 	PipelineOverheadPct *float64 `json:"pipeline_overhead_pct,omitempty"`
 	// HeadlineTaggedOverheadPct is the flagship workload's
@@ -121,13 +102,6 @@ type Report struct {
 	// InferNDJSON run to the tagged-union policy costs over the default
 	// strategy (docs/UNIONS.md).
 	HeadlineTaggedOverheadPct float64 `json:"headline_tagged_overhead_pct"`
-	// WorstCaseRegressionPct is the maximum AutoVsBestPct over the
-	// dataset grid: how far the adaptive mode sits above the better
-	// fixed mode on its least favorable distribution (positive =
-	// regression). This is the explicit skew-sensitivity gate — the
-	// all-distinct wikidata worst case that motivated adaptive dedup
-	// shows up here instead of hiding in the per-dataset grid.
-	WorstCaseRegressionPct float64 `json:"worst_case_regression_pct"`
 }
 
 // obsBaseline is the slice of BENCH_obs.json benchperf reads.
@@ -141,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	// The default workload matches cmd/benchobs (twitter, 10k records,
 	// seed 1) so the committed baseline compares like for like.
 	records := fs.Int("records", 10_000, "records in each synthetic benchmark dataset")
-	baseline := fs.String("baseline", "", "BENCH_obs.json to read the pre-dedup ns/op baseline from (empty = skip)")
+	baseline := fs.String("baseline", "", "BENCH_obs.json to read the ns/op baseline from (empty = skip)")
 	prev := fs.String("prev", "BENCH_perf.json", "previous BENCH_perf.json for the pipeline_overhead_pct headline (missing or empty = skip)")
 	outPath := fs.String("o", "", "write the JSON report to this file instead of stdout")
 	if err := fs.Parse(args); err != nil {
@@ -169,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 		data := dataset.NDJSON(g, *records, 1)
 
-		_, st, err := jsi.InferNDJSON(data, jsi.Options{Dedup: jsi.DedupOn})
+		_, st, err := jsi.InferNDJSON(data, jsi.Options{})
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)
 		}
@@ -179,35 +153,22 @@ func run(args []string, stdout, stderr io.Writer) error {
 			Records:       *records,
 			DistinctTypes: st.DistinctTypes,
 			Default:       measure(data, jsi.Options{}),
-			Dedup:         measure(data, jsi.Options{Dedup: jsi.DedupOn}),
-			Auto:          measure(data, jsi.Options{Dedup: jsi.DedupAuto}),
 			Enriched:      measure(data, jsi.Options{Enrich: []string{"all"}}),
 			Tagged:        measure(data, jsi.Options{TaggedUnions: true}),
 		}
 		res.EnrichOverheadPct = -pctBelow(res.Enriched.NsPerOp, res.Default.NsPerOp)
 		res.TaggedOverheadPct = -pctBelow(res.Tagged.NsPerOp, res.Default.NsPerOp)
-		best := res.Default.NsPerOp
-		if res.Dedup.NsPerOp < best {
-			best = res.Dedup.NsPerOp
-		}
-		res.AutoVsBestPct = -pctBelow(res.Auto.NsPerOp, best)
-		if len(rep.Datasets) == 0 || res.AutoVsBestPct > rep.WorstCaseRegressionPct {
-			rep.WorstCaseRegressionPct = res.AutoVsBestPct
-		}
-		res.NsImprovementPct = pctBelow(res.Dedup.NsPerOp, res.Default.NsPerOp)
-		res.AllocsReductionPct = pctBelow(res.Dedup.AllocsPerOp, res.Default.AllocsPerOp)
 		rep.Datasets = append(rep.Datasets, res)
 
 		if name == "twitter" {
-			rep.HeadlineAllocsReductionPct = res.AllocsReductionPct
 			rep.HeadlineTaggedOverheadPct = res.TaggedOverheadPct
 			if rep.BaselineNsPerOp > 0 {
-				p := pctBelow(res.Dedup.NsPerOp, rep.BaselineNsPerOp)
+				p := pctBelow(res.Default.NsPerOp, rep.BaselineNsPerOp)
 				rep.HeadlineNsImprovementPct = &p
 			}
 			if prevNs > 0 {
 				rep.PrevDedupNsPerOp = prevNs
-				p := -pctBelow(res.Dedup.NsPerOp, prevNs)
+				p := -pctBelow(res.Default.NsPerOp, prevNs)
 				rep.PipelineOverheadPct = &p
 			}
 		}
@@ -225,7 +186,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	return os.WriteFile(*outPath, enc, 0o644)
 }
 
-// prevDedupNsPerOp reads the twitter dedup ns/op out of a previous
+// prevDedupNsPerOp reads the twitter default ns/op out of a previous
 // report, or 0 when the path is empty, missing or not a report — the
 // comparison is best-effort so fresh checkouts and ad-hoc runs work.
 func prevDedupNsPerOp(path string) int64 {
@@ -242,7 +203,7 @@ func prevDedupNsPerOp(path string) int64 {
 	}
 	for _, d := range old.Datasets {
 		if d.Dataset == "twitter" {
-			return d.Dedup.NsPerOp
+			return d.Default.NsPerOp
 		}
 	}
 	return 0

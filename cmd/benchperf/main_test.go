@@ -15,7 +15,7 @@ func TestReportShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	prev := filepath.Join(dir, "BENCH_perf.json")
-	prevRep := `{"datasets":[{"dataset":"twitter","dedup":{"ns_per_op":1000000}}]}`
+	prevRep := `{"datasets":[{"dataset":"twitter","default":{"ns_per_op":1000000}}]}`
 	if err := os.WriteFile(prev, []byte(prevRep), 0o600); err != nil {
 		t.Fatal(err)
 	}
@@ -32,10 +32,10 @@ func TestReportShape(t *testing.T) {
 		t.Fatalf("expected 4 datasets, got %d", len(rep.Datasets))
 	}
 	for _, d := range rep.Datasets {
-		if d.Default.NsPerOp <= 0 || d.Dedup.NsPerOp <= 0 || d.Auto.NsPerOp <= 0 || d.Tagged.NsPerOp <= 0 {
+		if d.Default.NsPerOp <= 0 || d.Enriched.NsPerOp <= 0 || d.Tagged.NsPerOp <= 0 {
 			t.Errorf("%s: ns/op not measured: %+v", d.Dataset, d)
 		}
-		if d.Default.AllocsPerOp <= 0 || d.Dedup.AllocsPerOp <= 0 {
+		if d.Default.AllocsPerOp <= 0 || d.Enriched.AllocsPerOp <= 0 || d.Tagged.AllocsPerOp <= 0 {
 			t.Errorf("%s: allocs/op not measured: %+v", d.Dataset, d)
 		}
 		if d.DistinctTypes <= 0 {
@@ -51,9 +51,6 @@ func TestReportShape(t *testing.T) {
 	if rep.HeadlineNsImprovementPct == nil {
 		t.Error("baseline provided but headline_ns_improvement_pct missing")
 	}
-	if rep.HeadlineAllocsReductionPct == 0 {
-		t.Error("headline_allocs_reduction_pct missing")
-	}
 	if rep.HeadlineTaggedOverheadPct == 0 {
 		t.Error("headline_tagged_overhead_pct missing")
 	}
@@ -68,7 +65,7 @@ func TestReportShape(t *testing.T) {
 func TestPrevDedupNsPerOp(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.json")
-	if err := os.WriteFile(good, []byte(`{"datasets":[{"dataset":"github","dedup":{"ns_per_op":7}},{"dataset":"twitter","dedup":{"ns_per_op":42}}]}`), 0o600); err != nil {
+	if err := os.WriteFile(good, []byte(`{"datasets":[{"dataset":"github","default":{"ns_per_op":7}},{"dataset":"twitter","default":{"ns_per_op":42}}]}`), 0o600); err != nil {
 		t.Fatal(err)
 	}
 	bad := filepath.Join(dir, "bad.json")

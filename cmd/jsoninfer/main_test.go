@@ -211,6 +211,11 @@ func TestBadFlag(t *testing.T) {
 	if _, _, err := runCmd(t, []string{"-definitely-not-a-flag"}, ""); err == nil {
 		t.Error("bad flag accepted")
 	}
+	// The interned and plain paths are picked per chunk from the data;
+	// no flag selects between them.
+	if _, _, err := runCmd(t, []string{"-dedup"}, ""); err == nil {
+		t.Error("-dedup accepted")
+	}
 }
 
 func TestSampleFlag(t *testing.T) {
@@ -341,7 +346,8 @@ func TestDebugAddrServesLiveExpvar(t *testing.T) {
 }
 
 // TestStatsLowerBoundAcrossFiles asserts the stats line marks
-// distinct-types as a lower bound when partitions are merged.
+// distinct-types as a lower bound when -stream merges several files,
+// and only then.
 func TestStatsLowerBoundAcrossFiles(t *testing.T) {
 	dir := t.TempDir()
 	f1 := filepath.Join(dir, "a.ndjson")
@@ -352,12 +358,20 @@ func TestStatsLowerBoundAcrossFiles(t *testing.T) {
 	if err := os.WriteFile(f2, []byte(`{"y":"s"}`+"\n"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	_, errOut, err := runCmd(t, []string{"-stats", f1, f2}, "")
+	_, errOut, err := runCmd(t, []string{"-stats", "-stream", f1, f2}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(errOut, "distinct-types>=") {
-		t.Errorf("merged stats should mark the lower bound: %q", errOut)
+		t.Errorf("merged streaming stats should mark the lower bound: %q", errOut)
+	}
+	// The chunked pipeline merges files by type identity: exact.
+	_, errOut, err = runCmd(t, []string{"-stats", f1, f2}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(errOut, "distinct-types>=") || !strings.Contains(errOut, "distinct-types=2") {
+		t.Errorf("multi-file stats should be exact: %q", errOut)
 	}
 	// A single input is exact: no marker.
 	_, errOut, err = runCmd(t, []string{"-stats", f1}, "")
@@ -369,10 +383,10 @@ func TestStatsLowerBoundAcrossFiles(t *testing.T) {
 	}
 }
 
-// TestStatsDedupExactAcrossFiles: with -dedup the chunked pipeline
-// merges distinct-type multisets by identity across partitions, so the
-// stats line stays EXACT (no >= marker) over several files — including
-// when both files share shapes, where a per-file bound would undercount.
+// TestStatsDedupExactAcrossFiles: the chunked pipeline merges
+// distinct-type multisets by identity across partitions, so the stats
+// line stays EXACT (no >= marker) over several files — including when
+// both files share shapes, where a per-file bound would undercount.
 func TestStatsDedupExactAcrossFiles(t *testing.T) {
 	dir := t.TempDir()
 	f1 := filepath.Join(dir, "a.ndjson")
@@ -384,40 +398,12 @@ func TestStatsDedupExactAcrossFiles(t *testing.T) {
 	if err := os.WriteFile(f2, []byte(`{"y":"s"}`+"\n"+`{"shared":true}`+"\n"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	_, errOut, err := runCmd(t, []string{"-stats", "-dedup", f1, f2}, "")
+	_, errOut, err := runCmd(t, []string{"-stats", f1, f2}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(errOut, "distinct-types>=") || !strings.Contains(errOut, "distinct-types=3") {
-		t.Errorf("dedup multi-file stats should be exact: %q", errOut)
-	}
-	// Schema must match the non-dedup run byte for byte.
-	out, _, err := runCmd(t, []string{f1, f2}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	outDedup, _, err := runCmd(t, []string{"-dedup", f1, f2}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != outDedup {
-		t.Errorf("dedup schema %q != default %q", outDedup, out)
-	}
-	// Streaming with -dedup gets exact counts per file but only a bound
-	// across several.
-	_, errOut, err = runCmd(t, []string{"-stats", "-dedup", "-stream", f1}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(errOut, "distinct-types=2") {
-		t.Errorf("dedup single-file streaming stats should be exact: %q", errOut)
-	}
-	_, errOut, err = runCmd(t, []string{"-stats", "-dedup", "-stream", f1, f2}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(errOut, "distinct-types>=2") {
-		t.Errorf("dedup multi-file streaming stats should mark the bound: %q", errOut)
+		t.Errorf("multi-file stats should be exact: %q", errOut)
 	}
 }
 

@@ -93,4 +93,9 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(ctx, []string{"-on-error", "bogus"}, &stderr); err == nil {
 		t.Error("run accepted -on-error bogus")
 	}
+	// The interned and plain ingest paths are picked per chunk from the
+	// data; no flag selects between them.
+	if err := run(ctx, []string{"-dedup"}, &stderr); err == nil {
+		t.Error("run accepted -dedup")
+	}
 }

@@ -18,6 +18,10 @@ import (
 
 	jsi "repro"
 	"repro/internal/dataset"
+	"repro/internal/fusion"
+	"repro/internal/infer"
+	"repro/internal/stats"
+	"repro/internal/types"
 )
 
 // canonical renders a schema to its canonical codec bytes.
@@ -28,6 +32,46 @@ func canonical(t *testing.T, s *jsi.Schema) []byte {
 		t.Fatalf("MarshalJSON: %v", err)
 	}
 	return b
+}
+
+// referenceFold infers data without the pipeline: one decoder over the
+// whole buffer, Simplify, a left fold of Fuse and Finalize under fz,
+// with Stats from stats.Summary. It shares no code with the chunked
+// map stage, the accumulators or the engine, so it is an independent
+// reference for the canonical schema bytes and the type statistics.
+func referenceFold(data []byte, fz fusion.Options) ([]byte, jsi.Stats, error) {
+	var pr infer.Promoter
+	if p := fz.Promoter(); p != nil {
+		pr = p
+	}
+	ts, err := infer.InferAllWith(data, nil, pr)
+	if err != nil {
+		return nil, jsi.Stats{}, err
+	}
+	var sum stats.Summary
+	acc := types.Type(types.Empty)
+	for _, t := range ts {
+		sum.Add(t)
+		acc = fz.Fuse(acc, fz.Simplify(t))
+	}
+	codec, err := types.MarshalJSON(fz.Finalize(acc))
+	if err != nil {
+		return nil, jsi.Stats{}, err
+	}
+	return codec, jsi.Stats{
+		Records:       sum.Count(),
+		DistinctTypes: sum.Distinct(),
+		MinTypeSize:   sum.MinSize(),
+		MaxTypeSize:   sum.MaxSize(),
+		AvgTypeSize:   sum.AvgSize(),
+	}, nil
+}
+
+// sameTypeStats reports whether two Stats agree on the type-level
+// figures (records, distinct types and type sizes).
+func sameTypeStats(a, b jsi.Stats) bool {
+	return a.Records == b.Records && a.DistinctTypes == b.DistinctTypes &&
+		a.MinTypeSize == b.MinTypeSize && a.MaxTypeSize == b.MaxTypeSize && a.AvgTypeSize == b.AvgTypeSize
 }
 
 // TestDifferentialParallelVsSequential compares, per dataset, a
@@ -48,6 +92,16 @@ func TestDifferentialParallelVsSequential(t *testing.T) {
 			t.Fatalf("%s: sequential reference: %v", name, err)
 		}
 		ref := canonical(t, refSchema)
+		foldBytes, foldStats, err := referenceFold(data, fusion.Options{})
+		if err != nil {
+			t.Fatalf("%s: reference fold: %v", name, err)
+		}
+		if !bytes.Equal(ref, foldBytes) {
+			t.Errorf("%s: sequential run diverged from the reference fold\n got: %s\nwant: %s", name, ref, foldBytes)
+		}
+		if !sameTypeStats(refStats, foldStats) {
+			t.Errorf("%s: sequential stats %+v, reference fold %+v", name, refStats, foldStats)
+		}
 
 		check := func(label string, s *jsi.Schema, st jsi.Stats, err error) {
 			t.Helper()
@@ -63,34 +117,27 @@ func TestDifferentialParallelVsSequential(t *testing.T) {
 		}
 
 		for _, workers := range []int{2, 8} {
-			for _, dedup := range []jsi.DedupMode{jsi.DedupOff, jsi.DedupOn, jsi.DedupAuto} {
-				label := fmt.Sprintf("parallel %d dedup=%s", workers, dedup)
-				s, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: workers, Dedup: dedup})
-				check(label, s, st, err)
-			}
+			s, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: workers})
+			check(fmt.Sprintf("parallel %d", workers), s, st, err)
 		}
 
-		for _, dedup := range []jsi.DedupMode{jsi.DedupOff, jsi.DedupOn, jsi.DedupAuto} {
-			s, st, err := jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)), jsi.Options{Dedup: dedup})
-			check("streaming dedup="+dedup.String(), s, st, err)
-		}
+		s, st, err := jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)), jsi.Options{})
+		check("streaming", s, st, err)
 
 		path := filepath.Join(dir, name+".ndjson")
 		if err := os.WriteFile(path, data, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		for _, dedup := range []jsi.DedupMode{jsi.DedupOff, jsi.DedupOn, jsi.DedupAuto} {
-			s, st, err := jsi.Infer(context.Background(), jsi.FromFile(path), jsi.Options{Workers: 8, ChunkBytes: 1 << 10, Dedup: dedup})
-			check("file pipeline dedup="+dedup.String(), s, st, err)
-		}
+		s, st, err = jsi.Infer(context.Background(), jsi.FromFile(path), jsi.Options{Workers: 8, ChunkBytes: 1 << 10})
+		check("file pipeline", s, st, err)
 	}
 }
 
 // TestDifferentialTaggedUnions re-runs the parallel-vs-sequential
 // oracle with the tagged-union policy on. The Variants merge is part of
-// the fusion monoid, so the same guarantee must hold: worker count,
-// dedup mode and source (in-memory, streaming, file pipeline) are
-// invisible in the canonical schema bytes. The test also requires that
+// the fusion monoid, so the same guarantee must hold: worker count and
+// source (in-memory, streaming, file pipeline) are invisible in the
+// canonical schema bytes, which also equal the reference fold's. The test also requires that
 // at least one dataset actually infers a variants node, so it cannot
 // pass vacuously with the policy silently disabled.
 func TestDifferentialTaggedUnions(t *testing.T) {
@@ -115,6 +162,13 @@ func TestDifferentialTaggedUnions(t *testing.T) {
 		if bytes.Contains(ref, []byte(`"variants"`)) {
 			sawVariants = true
 		}
+		foldBytes, _, err := referenceFold(data, fusion.Options{Strategy: fusion.Tagged{}})
+		if err != nil {
+			t.Fatalf("%s: tagged reference fold: %v", name, err)
+		}
+		if !bytes.Equal(ref, foldBytes) {
+			t.Errorf("%s: tagged sequential run diverged from the reference fold\n got: %s\nwant: %s", name, ref, foldBytes)
+		}
 
 		check := func(label string, s *jsi.Schema, st jsi.Stats, err error) {
 			t.Helper()
@@ -130,26 +184,19 @@ func TestDifferentialTaggedUnions(t *testing.T) {
 		}
 
 		for _, workers := range []int{2, 8} {
-			for _, dedup := range []jsi.DedupMode{jsi.DedupOff, jsi.DedupOn, jsi.DedupAuto} {
-				label := fmt.Sprintf("parallel %d dedup=%s", workers, dedup)
-				s, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), opts(jsi.Options{Workers: workers, Dedup: dedup}))
-				check(label, s, st, err)
-			}
+			s, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), opts(jsi.Options{Workers: workers}))
+			check(fmt.Sprintf("parallel %d", workers), s, st, err)
 		}
 
-		for _, dedup := range []jsi.DedupMode{jsi.DedupOff, jsi.DedupOn, jsi.DedupAuto} {
-			s, st, err := jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)), opts(jsi.Options{Dedup: dedup}))
-			check("streaming dedup="+dedup.String(), s, st, err)
-		}
+		s, st, err := jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)), opts(jsi.Options{}))
+		check("streaming", s, st, err)
 
 		path := filepath.Join(dir, name+".ndjson")
 		if err := os.WriteFile(path, data, 0o600); err != nil {
 			t.Fatal(err)
 		}
-		for _, dedup := range []jsi.DedupMode{jsi.DedupOff, jsi.DedupOn, jsi.DedupAuto} {
-			s, st, err := jsi.Infer(context.Background(), jsi.FromFile(path), opts(jsi.Options{Workers: 8, ChunkBytes: 1 << 10, Dedup: dedup}))
-			check("file pipeline dedup="+dedup.String(), s, st, err)
-		}
+		s, st, err = jsi.Infer(context.Background(), jsi.FromFile(path), opts(jsi.Options{Workers: 8, ChunkBytes: 1 << 10}))
+		check("file pipeline", s, st, err)
 
 		// The JSON Schema export of a tagged run must also be stable
 		// across execution strategies (oneOf branch order is canonical).
@@ -157,7 +204,7 @@ func TestDifferentialTaggedUnions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: JSONSchema: %v", name, err)
 		}
-		parSchema, _, err := jsi.Infer(context.Background(), jsi.FromBytes(data), opts(jsi.Options{Workers: 8, Dedup: jsi.DedupOn}))
+		parSchema, _, err := jsi.Infer(context.Background(), jsi.FromBytes(data), opts(jsi.Options{Workers: 8}))
 		if err != nil {
 			t.Fatalf("%s: tagged parallel for JSONSchema: %v", name, err)
 		}
@@ -248,11 +295,9 @@ func TestDifferentialEnrichmentTransparent(t *testing.T) {
 		}
 
 		for _, workers := range []int{2, 8} {
-			for _, dedup := range []jsi.DedupMode{jsi.DedupOff, jsi.DedupOn, jsi.DedupAuto} {
-				s, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data),
-					jsi.Options{Workers: workers, Dedup: dedup, Enrich: enrich})
-				check("parallel dedup="+dedup.String(), s, st, err)
-			}
+			s, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data),
+				jsi.Options{Workers: workers, Enrich: enrich})
+			check(fmt.Sprintf("parallel %d", workers), s, st, err)
 		}
 
 		s, st, err := jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)),
@@ -269,12 +314,11 @@ func TestDifferentialEnrichmentTransparent(t *testing.T) {
 	}
 }
 
-// TestDifferentialDedupStatsAndMetrics pins the dedup path's contract
-// beyond schema bytes: at Workers 1, the full Stats struct matches the
-// default path field for field (DistinctTypes exact on both), and the
-// metrics snapshots are identical once timing and cache counters are
-// stripped — infer_records, infer_chunks, the fusion-growth histogram,
-// everything else must not move.
+// TestDifferentialDedupStatsAndMetrics pins the chunked path's
+// contract beyond schema bytes: at Workers 1, the full type-level Stats
+// match the reference fold field for field (DistinctTypes exact), the
+// run records its cache counters, and WithoutTimings strips them —
+// they depend on scheduling — while keeping the work counters.
 func TestDifferentialDedupStatsAndMetrics(t *testing.T) {
 	for _, name := range dataset.Names() {
 		g, err := dataset.New(name)
@@ -283,63 +327,50 @@ func TestDifferentialDedupStatsAndMetrics(t *testing.T) {
 		}
 		data := dataset.NDJSON(g, 300, 101)
 
-		run := func(dedup jsi.DedupMode) (*jsi.Schema, jsi.Stats, jsi.Metrics) {
-			c := jsi.NewCollector()
-			s, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: 1, Dedup: dedup, Collector: c})
-			if err != nil {
-				t.Fatalf("%s (dedup=%v): %v", name, dedup, err)
-			}
-			return s, st, c.Metrics()
-		}
-		refSchema, refStats, refMetrics := run(jsi.DedupOff)
-		dedupSchema, dedupStats, dedupMetrics := run(jsi.DedupOn)
-
-		if !bytes.Equal(canonical(t, refSchema), canonical(t, dedupSchema)) {
-			t.Errorf("%s: dedup schema diverged", name)
-		}
-		if refStats != dedupStats {
-			t.Errorf("%s: stats diverged\n got: %+v\nwant: %+v", name, dedupStats, refStats)
-		}
-		autoSchema, autoStats, _ := run(jsi.DedupAuto)
-		if !bytes.Equal(canonical(t, refSchema), canonical(t, autoSchema)) {
-			t.Errorf("%s: auto schema diverged", name)
-		}
-		if refStats != autoStats {
-			t.Errorf("%s: auto stats diverged\n got: %+v\nwant: %+v", name, autoStats, refStats)
-		}
-		want, err := refMetrics.WithoutTimings().WithoutCache().MarshalJSON()
+		c := jsi.NewCollector()
+		s, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: 1, Collector: c})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		got, err := dedupMetrics.WithoutTimings().WithoutCache().MarshalJSON()
+		foldBytes, foldStats, err := referenceFold(data, fusion.Options{})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: reference fold: %v", name, err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: non-cache metrics diverged\n got: %s\nwant: %s", name, got, want)
+		if !bytes.Equal(canonical(t, s), foldBytes) {
+			t.Errorf("%s: schema diverged from the reference fold", name)
+		}
+		if !sameTypeStats(st, foldStats) {
+			t.Errorf("%s: stats diverged\n got: %+v\nwant: %+v", name, st, foldStats)
 		}
 
-		// The dedup run must actually have recorded its cache counters,
-		// and a single-worker fault-free run pins the exact identities:
-		// every record interns (hits+misses counts every Canon/intern
-		// probe) and intern_misses is the table's distinct-node count.
-		counters := dedupMetrics.Counters
+		// The run must actually have recorded its cache counters: every
+		// record interns (hits+misses counts every Canon/intern probe)
+		// and the memo serves every fuse.
+		m := c.Metrics()
+		counters := m.Counters
 		if counters["intern_hits"] == 0 || counters["intern_misses"] == 0 {
 			t.Errorf("%s: intern counters missing: %v", name, counters)
 		}
 		if counters["fuse_cache_hits"]+counters["fuse_cache_misses"] == 0 {
 			t.Errorf("%s: fuse cache counters missing", name)
 		}
-		if refMetrics.Counters["intern_hits"] != 0 {
-			t.Errorf("%s: default path recorded intern counters", name)
+		stripped := m.WithoutTimings().Counters
+		for _, k := range []string{"intern_hits", "intern_misses", "fuse_cache_hits", "fuse_cache_misses", "simplify_cache_hits", "simplify_cache_misses"} {
+			if _, ok := stripped[k]; ok {
+				t.Errorf("%s: WithoutTimings kept the cache counter %s", name, k)
+			}
+		}
+		if stripped["infer_records"] != st.Records {
+			t.Errorf("%s: WithoutTimings infer_records = %d, want %d", name, stripped["infer_records"], st.Records)
 		}
 	}
 }
 
-// TestDifferentialDedupExactDistinctAcrossSources: the dedup pipeline
-// reports the SAME exact DistinctTypes from the in-memory, streaming,
-// single-file and multi-file paths — the paths where the default
-// pipeline reports zero or only a lower bound.
+// TestDifferentialDedupExactDistinctAcrossSources: the chunked pipeline
+// reports the SAME exact DistinctTypes from the in-memory, single-file
+// and multi-file paths — FromFiles merges per-file results by type
+// identity, so it counts exactly what FromBytes over the concatenation
+// counts — while the constant-memory streaming path reports zero.
 func TestDifferentialDedupExactDistinctAcrossSources(t *testing.T) {
 	dir := t.TempDir()
 	g, err := dataset.New("github")
@@ -348,24 +379,41 @@ func TestDifferentialDedupExactDistinctAcrossSources(t *testing.T) {
 	}
 	data := dataset.NDJSON(g, 400, 7)
 
-	_, want, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: 1, Dedup: jsi.DedupOn})
+	_, want, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want.DistinctTypes <= 0 {
-		t.Fatalf("reference distinct count not positive: %+v", want)
-	}
-
-	_, st, err := jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)), jsi.Options{Dedup: jsi.DedupOn})
+	_, foldStats, err := referenceFold(data, fusion.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.DistinctTypes != want.DistinctTypes {
-		t.Errorf("streaming dedup DistinctTypes = %d, want %d", st.DistinctTypes, want.DistinctTypes)
+	if want.DistinctTypes <= 0 || want.DistinctTypes != foldStats.DistinctTypes {
+		t.Fatalf("reference distinct count = %d, reference fold counts %d", want.DistinctTypes, foldStats.DistinctTypes)
 	}
 
-	// Split the buffer across two files; identity-merged multisets must
-	// reproduce the exact global count, not a per-file bound.
+	_, st, err := jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)), jsi.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.DistinctTypes != 0 {
+		t.Errorf("streaming DistinctTypes = %d, want 0", st.DistinctTypes)
+	}
+
+	path := filepath.Join(dir, "all.ndjson")
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	_, st, err = jsi.Infer(context.Background(), jsi.FromFile(path), jsi.Options{Workers: 4, ChunkBytes: 1 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameTypeStats(st, want) {
+		t.Errorf("single-file stats = %+v, want %+v", st, want)
+	}
+
+	// Split the buffer across two files that share shapes; identity
+	// merging must reproduce the exact global count, not a per-file
+	// bound.
 	lines := bytes.SplitAfter(data, []byte("\n"))
 	mid := len(lines) / 2
 	paths := []string{filepath.Join(dir, "a.ndjson"), filepath.Join(dir, "b.ndjson")}
@@ -375,27 +423,28 @@ func TestDifferentialDedupExactDistinctAcrossSources(t *testing.T) {
 	if err := os.WriteFile(paths[1], bytes.Join(lines[mid:], nil), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	_, st, err = jsi.Infer(context.Background(), jsi.FromFiles(paths...), jsi.Options{Workers: 4, ChunkBytes: 1 << 10, Dedup: jsi.DedupOn})
+	_, st, err = jsi.Infer(context.Background(), jsi.FromFiles(paths...), jsi.Options{Workers: 4, ChunkBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.DistinctTypes != want.DistinctTypes {
-		t.Errorf("multi-file dedup DistinctTypes = %d, want %d", st.DistinctTypes, want.DistinctTypes)
+		t.Errorf("multi-file DistinctTypes = %d, want %d", st.DistinctTypes, want.DistinctTypes)
 	}
-	if st.Records != want.Records {
-		t.Errorf("multi-file dedup Records = %d, want %d", st.Records, want.Records)
+	if !sameTypeStats(st, want) {
+		t.Errorf("multi-file stats = %+v, want %+v", st, want)
 	}
 }
 
-// TestDifferentialDedupAutoDeterminism pins the adaptive mode's core
+// TestDifferentialAdaptiveDeterminism pins the per-chunk choice's core
 // promise at real sample sizes: with enough records per chunk for
 // per-chunk sampling to complete and degrade decisions to actually
-// fire (wikidata's all-distinct records) — or to settle on the dedup
-// path (twitter's repetitive ones) — DedupAuto is byte-identical to
-// the fixed dedup reference across 1/4/8 workers and the bytes, file
-// and streaming sources. The shared hint makes the *cost* of a chunk
-// depend on scheduling; this test is the proof the *result* does not.
-func TestDifferentialDedupAutoDeterminism(t *testing.T) {
+// fire (wikidata's all-distinct records) — or to settle on the
+// interned path (twitter's repetitive ones) — the chunked pipeline is
+// byte-identical to the reference fold across 1/4/8 workers and the
+// bytes and file sources, and the streaming source agrees on the schema
+// and type sizes. The shared hint makes the *cost* of a chunk depend
+// on scheduling; this test is the proof the *result* does not.
+func TestDifferentialAdaptiveDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	for _, name := range []string{"wikidata", "twitter"} {
 		g, err := dataset.New(name)
@@ -408,11 +457,10 @@ func TestDifferentialDedupAutoDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		refSchema, refStats, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: 1, Dedup: jsi.DedupOn})
+		ref, refStats, err := referenceFold(data, fusion.Options{})
 		if err != nil {
-			t.Fatalf("%s: dedup reference: %v", name, err)
+			t.Fatalf("%s: reference fold: %v", name, err)
 		}
-		ref := canonical(t, refSchema)
 
 		check := func(label string, s *jsi.Schema, st jsi.Stats, err error) {
 			t.Helper()
@@ -435,15 +483,16 @@ func TestDifferentialDedupAutoDeterminism(t *testing.T) {
 
 		for _, workers := range []int{1, 4, 8} {
 			s, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data),
-				jsi.Options{Workers: workers, Dedup: jsi.DedupAuto})
-			check(fmt.Sprintf("auto bytes %dw", workers), s, st, err)
+				jsi.Options{Workers: workers})
+			check(fmt.Sprintf("bytes %dw", workers), s, st, err)
 
 			s, st, err = jsi.Infer(context.Background(), jsi.FromFile(path),
-				jsi.Options{Workers: workers, ChunkBytes: 8 << 10, Dedup: jsi.DedupAuto})
-			check(fmt.Sprintf("auto file %dw", workers), s, st, err)
+				jsi.Options{Workers: workers, ChunkBytes: 8 << 10})
+			check(fmt.Sprintf("file %dw", workers), s, st, err)
 		}
-		s, st, err := jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)),
-			jsi.Options{Dedup: jsi.DedupAuto})
-		check("auto streaming", s, st, err)
+		// The streaming path keeps no distinct-type bookkeeping.
+		s, st, err := jsi.Infer(context.Background(), jsi.FromReader(bytes.NewReader(data)), jsi.Options{})
+		st.DistinctTypes = refStats.DistinctTypes
+		check("streaming", s, st, err)
 	}
 }

@@ -3,7 +3,6 @@ package jsoninference
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"repro/internal/abstraction"
 	"repro/internal/jsontext"
@@ -55,28 +54,6 @@ func InferProfile(ctx context.Context, src Source, opts Options) (*Profile, Stat
 		return nil, Stats{}, fmt.Errorf("jsoninference: %w", err)
 	}
 	return &out, Stats{Records: out.p.Count, Bytes: n}, nil
-}
-
-// ProfileNDJSON profiles a collection of whitespace-separated JSON
-// values. It is InferProfile over FromBytes with a background context.
-//
-// Deprecated: use InferProfile, which accepts a context and any Source
-// kind. ProfileNDJSON remains for compatibility, mirroring how the
-// Infer* wrappers sit over Infer.
-func ProfileNDJSON(data []byte, opts Options) (*Profile, error) {
-	p, _, err := InferProfile(context.Background(), FromBytes(data), opts)
-	return p, err
-}
-
-// ProfileReader profiles a stream of JSON values with constant memory.
-// It is InferProfile over FromReader with a background context.
-//
-// Deprecated: use InferProfile, which accepts a context and any Source
-// kind. ProfileReader remains for compatibility, mirroring how the
-// Infer* wrappers sit over Infer.
-func ProfileReader(r io.Reader, opts Options) (*Profile, error) {
-	p, _, err := InferProfile(context.Background(), FromReader(r), opts)
-	return p, err
 }
 
 // Records reports the number of values profiled.

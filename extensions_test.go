@@ -1,6 +1,7 @@
 package jsoninference_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,12 +9,12 @@ import (
 	"repro/internal/dataset"
 )
 
-func TestProfileNDJSON(t *testing.T) {
+func TestProfileFromBytes(t *testing.T) {
 	data := []byte(`{"id": 1, "name": "ada", "score": 3.5}
 {"id": 2, "name": "bob"}
 {"id": 3, "name": "eve", "score": 9.5}
 `)
-	p, err := jsi.ProfileNDJSON(data, jsi.Options{})
+	p, _, err := jsi.InferProfile(context.Background(), jsi.FromBytes(data), jsi.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,10 +37,10 @@ func TestProfileNDJSON(t *testing.T) {
 	}
 }
 
-func TestProfileReaderAndMerge(t *testing.T) {
+func TestProfileFromReaderAndMerge(t *testing.T) {
 	g, _ := dataset.New("twitter")
 	data := dataset.NDJSON(g, 80, 21)
-	whole, err := jsi.ProfileNDJSON(data, jsi.Options{})
+	whole, _, err := jsi.InferProfile(context.Background(), jsi.FromBytes(data), jsi.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +49,11 @@ func TestProfileReaderAndMerge(t *testing.T) {
 	for data[half] != '\n' {
 		half++
 	}
-	a, err := jsi.ProfileReader(strings.NewReader(string(data[:half+1])), jsi.Options{})
+	a, _, err := jsi.InferProfile(context.Background(), jsi.FromReader(strings.NewReader(string(data[:half+1]))), jsi.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := jsi.ProfileReader(strings.NewReader(string(data[half+1:])), jsi.Options{})
+	b, _, err := jsi.InferProfile(context.Background(), jsi.FromReader(strings.NewReader(string(data[half+1:]))), jsi.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +68,10 @@ func TestProfileReaderAndMerge(t *testing.T) {
 }
 
 func TestProfileErrors(t *testing.T) {
-	if _, err := jsi.ProfileNDJSON([]byte(`{"bad`), jsi.Options{}); err == nil {
+	if _, _, err := jsi.InferProfile(context.Background(), jsi.FromBytes([]byte(`{"bad`)), jsi.Options{}); err == nil {
 		t.Error("malformed input accepted")
 	}
-	if _, err := jsi.ProfileReader(strings.NewReader(`{"a":1} [`), jsi.Options{}); err == nil {
+	if _, _, err := jsi.InferProfile(context.Background(), jsi.FromReader(strings.NewReader(`{"a":1} [`)), jsi.Options{}); err == nil {
 		t.Error("malformed stream accepted")
 	}
 }
@@ -279,7 +280,7 @@ func TestAbstractKeys(t *testing.T) {
 
 func TestProfileCodecFacade(t *testing.T) {
 	g, _ := dataset.New("github")
-	p, err := jsi.ProfileNDJSON(dataset.NDJSON(g, 40, 3), jsi.Options{})
+	p, _, err := jsi.InferProfile(context.Background(), jsi.FromBytes(dataset.NDJSON(g, 40, 3)), jsi.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

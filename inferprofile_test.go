@@ -9,10 +9,9 @@ import (
 	jsi "repro"
 )
 
-// TestInferProfileMatchesWrappers pins the wrapper contract for the
-// profile family, mirroring TestInferMatchesWrappers: the deprecated
-// entry points return exactly what InferProfile over the matching
-// Source returns.
+// TestInferProfileMatchesWrappers pins that InferProfile returns the
+// same profile over every Source kind holding the same records, and
+// that its Stats report the records and bytes profiled.
 func TestInferProfileMatchesWrappers(t *testing.T) {
 	path, data := manyChunks(t, 200)
 	ctx := context.Background()
@@ -28,20 +27,12 @@ func TestInferProfileMatchesWrappers(t *testing.T) {
 		t.Errorf("Stats.Bytes = %d, want %d", st.Bytes, len(data))
 	}
 
-	legacy, err := jsi.ProfileNDJSON(data, jsi.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if legacy.String() != fromBytes.String() {
-		t.Error("ProfileNDJSON diverges from InferProfile(FromBytes)")
-	}
-
-	reader, err := jsi.ProfileReader(bytes.NewReader(data), jsi.Options{})
+	reader, _, err := jsi.InferProfile(ctx, jsi.FromReader(bytes.NewReader(data)), jsi.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reader.String() != fromBytes.String() {
-		t.Error("ProfileReader diverges from InferProfile(FromBytes)")
+		t.Error("InferProfile(FromReader) diverges from InferProfile(FromBytes)")
 	}
 
 	fromFile, _, err := jsi.InferProfile(ctx, jsi.FromFile(path), jsi.Options{})

@@ -18,9 +18,10 @@ import (
 //
 // Roots:
 //
-//   - every Add/Merge/Fold method of an accumulator-shaped type: a
-//     named non-interface type whose pointer method set carries all
-//     three (the duck-typed form of pipeline.Accumulator);
+//   - every Merge/Fold method — and Add, when it has one — of an
+//     accumulator-shaped type: a named non-interface type whose
+//     pointer method set carries both Merge and Fold (the duck-typed
+//     form of pipeline.Accumulator);
 //   - every function or method of repro/internal/fusion whose name
 //     involves fusing, simplifying or collapsing — the Fuse/Simplify
 //     paths;
@@ -60,10 +61,6 @@ var nameRoots = map[string][]string{
 	enrichPkgPath: {"merge", "fold", "union", "absorb"},
 }
 
-// monoidMethodNames are the accumulator operations checked on
-// accumulator-shaped types.
-var monoidMethodNames = map[string]bool{"Add": true, "Merge": true, "Fold": true}
-
 func runMonoidPure(pass *Pass) {
 	if pass.Sums == nil {
 		return
@@ -88,6 +85,21 @@ func runMonoidPure(pass *Pass) {
 			pass.Reportf(sum.MutParamPos[i], "%s must not mutate its %s, but %s", name, pname, sum.MutParamWhy[i])
 		}
 	}
+}
+
+// localMethod returns the method of ms named mname when the package
+// under analysis declares it, else nil: a promoted method from an
+// embedded foreign type is that package's to check.
+func localMethod(pass *Pass, ms *types.MethodSet, mname string) *types.Func {
+	sel := ms.Lookup(pass.Pkg, mname)
+	if sel == nil {
+		return nil
+	}
+	fn, ok := sel.Obj().(*types.Func)
+	if !ok || fn.Pkg() != pass.Pkg {
+		return nil
+	}
+	return fn
 }
 
 // monoidRoots collects the functions of this package whose purity the
@@ -116,26 +128,15 @@ func monoidRoots(pass *Pass) []*types.Func {
 			continue
 		}
 		ms := types.NewMethodSet(types.NewPointer(named))
-		var ops []*types.Func
-		for _, mname := range [...]string{"Add", "Fold", "Merge"} {
-			sel := ms.Lookup(pass.Pkg, mname)
-			if sel == nil {
-				break
-			}
-			fn, ok := sel.Obj().(*types.Func)
-			// Only methods declared in the package under analysis: a
-			// promoted method from an embedded foreign type is that
-			// package's to check.
-			if !ok || fn.Pkg() != pass.Pkg {
-				break
-			}
-			ops = append(ops, fn)
+		// Merge and Fold make a type accumulator-shaped; Add, when it
+		// has one, is rooted with them.
+		merge, fold := localMethod(pass, ms, "Merge"), localMethod(pass, ms, "Fold")
+		if merge == nil || fold == nil {
+			continue
 		}
-		if len(ops) == len(monoidMethodNames) {
-			for _, fn := range ops {
-				add(fn)
-			}
-		}
+		add(localMethod(pass, ms, "Add"))
+		add(fold)
+		add(merge)
 	}
 
 	if fragments, ok := nameRoots[pass.Pkg.Path()]; ok {

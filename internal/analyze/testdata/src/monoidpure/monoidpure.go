@@ -1,7 +1,7 @@
 // Package fixture holds known-bad and known-good snippets for the
 // monoidpure analyzer's golden tests. Every type here is
-// accumulator-shaped (Add/Merge/Fold in its pointer method set), which
-// makes its three methods monoid roots.
+// accumulator-shaped (Merge and Fold in its pointer method set, with or
+// without Add), which makes those methods monoid roots.
 package fixture
 
 import (
@@ -104,3 +104,13 @@ func (t *TimedAcc) Merge(o *TimedAcc) {
 }
 
 func (t *TimedAcc) Fold() int { return t.n }
+
+// ChunkAcc has no Add — chunk map stages build it directly — and is
+// still an accumulator: Merge and Fold alone make the shape.
+type ChunkAcc struct{ n int }
+
+func (c *ChunkAcc) Merge(o *ChunkAcc) {
+	c.n += o.n + rand.Intn(2) // want "must be deterministic"
+}
+
+func (c *ChunkAcc) Fold() int { return c.n }

@@ -10,7 +10,12 @@ import (
 	jsi "repro"
 	"repro/internal/chaos"
 	"repro/internal/dataset"
+	"repro/internal/fusion"
+	"repro/internal/infer"
+	"repro/internal/jsontext"
 	"repro/internal/mapreduce"
+	"repro/internal/stats"
+	"repro/internal/types"
 )
 
 // testInput generates one deterministic NDJSON corpus for the harness.
@@ -126,53 +131,50 @@ func TestRetryEnrichmentByteIdentical(t *testing.T) {
 	totalRetries := 0
 	for seed := int64(1); seed <= schedules; seed++ {
 		plan := chaos.DefaultPlan(seed)
-		for _, dedup := range []jsi.DedupMode{jsi.DedupOff, jsi.DedupOn, jsi.DedupAuto} {
-			opts := jsi.Options{
-				Workers:       4,
-				Dedup:         dedup,
-				Retries:       plan.MaxTransient,
-				FaultInjector: publicInjector(plan),
-				Enrich:        enrich,
-			}
-			schema, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), opts)
-			if err != nil {
-				t.Fatalf("seed %d (dedup=%v): %v", seed, dedup, err)
-			}
-			js, jerr := schema.JSONSchema()
-			if jerr != nil {
-				t.Fatal(jerr)
-			}
-			if !bytes.Equal(js, refJS) {
-				t.Fatalf("seed %d (dedup=%v): annotated schema diverged under faults\n got: %s\nwant: %s", seed, dedup, js, refJS)
-			}
-			rep, rerr := schema.EnrichmentJSON()
-			if rerr != nil {
-				t.Fatal(rerr)
-			}
-			if !bytes.Equal(rep, refReport) {
-				t.Fatalf("seed %d (dedup=%v): enrichment report diverged under faults\n got: %s\nwant: %s", seed, dedup, rep, refReport)
-			}
-			if st.Records != refStats.Records {
-				t.Fatalf("seed %d (dedup=%v): Records = %d, want %d", seed, dedup, st.Records, refStats.Records)
-			}
-			totalRetries += st.Retries
+		opts := jsi.Options{
+			Workers:       4,
+			Retries:       plan.MaxTransient,
+			FaultInjector: publicInjector(plan),
+			Enrich:        enrich,
 		}
+		schema, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), opts)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		js, jerr := schema.JSONSchema()
+		if jerr != nil {
+			t.Fatal(jerr)
+		}
+		if !bytes.Equal(js, refJS) {
+			t.Fatalf("seed %d: annotated schema diverged under faults\n got: %s\nwant: %s", seed, js, refJS)
+		}
+		rep, rerr := schema.EnrichmentJSON()
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if !bytes.Equal(rep, refReport) {
+			t.Fatalf("seed %d: enrichment report diverged under faults\n got: %s\nwant: %s", seed, rep, refReport)
+		}
+		if st.Records != refStats.Records {
+			t.Fatalf("seed %d: Records = %d, want %d", seed, st.Records, refStats.Records)
+		}
+		totalRetries += st.Retries
 	}
 	if totalRetries == 0 {
 		t.Fatalf("no retries across %d schedules: the plans injected nothing", schedules)
 	}
-	t.Logf("%d schedules x2 pipelines, %d retried attempts, enrichment byte-identical throughout", schedules, totalRetries)
+	t.Logf("%d schedules, %d retried attempts, enrichment byte-identical throughout", schedules, totalRetries)
 }
 
 // TestRetryByteIdenticalWithDedup re-runs the retry acceptance
-// criterion with the hash-consed dedup pipeline: retried chunks
+// criterion on the hash-consed chunked pipeline: retried chunks
 // re-intern their types into the shared table and re-emit their
 // multisets, and neither may corrupt the result — schema bytes, record
 // counts AND the exact distinct-type count must match a fault-free
-// dedup reference across randomized schedules.
+// reference across randomized schedules.
 func TestRetryByteIdenticalWithDedup(t *testing.T) {
 	data := testInput(t, "mixed", 400)
-	refSchema, refStats, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: 4, Dedup: jsi.DedupOn})
+	refSchema, refStats, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{Workers: 4})
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -187,7 +189,6 @@ func TestRetryByteIdenticalWithDedup(t *testing.T) {
 		plan := chaos.DefaultPlan(seed)
 		opts := jsi.Options{
 			Workers:       4,
-			Dedup: jsi.DedupOn,
 			Retries:       plan.MaxTransient,
 			FaultInjector: publicInjector(plan),
 		}
@@ -196,7 +197,7 @@ func TestRetryByteIdenticalWithDedup(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if got := schemaJSON(t, schema); !bytes.Equal(got, refJSON) {
-			t.Fatalf("seed %d: dedup schema diverged under faults\n got: %s\nwant: %s", seed, got, refJSON)
+			t.Fatalf("seed %d: schema diverged under faults\n got: %s\nwant: %s", seed, got, refJSON)
 		}
 		if st.Records != refStats.Records {
 			t.Fatalf("seed %d: Records = %d, want %d (retries must not double-count multisets)", seed, st.Records, refStats.Records)
@@ -217,7 +218,7 @@ func TestRetryByteIdenticalWithDedup(t *testing.T) {
 // the fusion monoid, so retried chunk outputs meeting the fold in a
 // different order — possibly crossing the variant cap in a different
 // sequence — must still produce byte-identical schemas across 60
-// randomized transient-fault schedules and all dedup modes.
+// randomized transient-fault schedules.
 func TestRetryTaggedUnionsByteIdentical(t *testing.T) {
 	for _, name := range []string{"eventlog", "webhook"} {
 		data := testInput(t, name, 400)
@@ -235,32 +236,29 @@ func TestRetryTaggedUnionsByteIdentical(t *testing.T) {
 		totalRetries := 0
 		for seed := int64(1); seed <= schedules; seed++ {
 			plan := chaos.DefaultPlan(seed)
-			for _, dedup := range []jsi.DedupMode{jsi.DedupOff, jsi.DedupOn, jsi.DedupAuto} {
-				opts := jsi.Options{
-					Workers:       4,
-					Dedup:         dedup,
-					TaggedUnions:  true,
-					Retries:       plan.MaxTransient,
-					FaultInjector: publicInjector(plan),
-				}
-				schema, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), opts)
-				if err != nil {
-					t.Fatalf("%s seed %d (dedup=%v): %v", name, seed, dedup, err)
-				}
-				if got := schemaJSON(t, schema); !bytes.Equal(got, refJSON) {
-					t.Fatalf("%s seed %d (dedup=%v): tagged schema diverged under faults\n got: %s\nwant: %s",
-						name, seed, dedup, got, refJSON)
-				}
-				if st.Records != refStats.Records {
-					t.Fatalf("%s seed %d (dedup=%v): Records = %d, want %d", name, seed, dedup, st.Records, refStats.Records)
-				}
-				totalRetries += st.Retries
+			opts := jsi.Options{
+				Workers:       4,
+				TaggedUnions:  true,
+				Retries:       plan.MaxTransient,
+				FaultInjector: publicInjector(plan),
 			}
+			schema, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), opts)
+			if err != nil {
+				t.Fatalf("%s seed %d: %v", name, seed, err)
+			}
+			if got := schemaJSON(t, schema); !bytes.Equal(got, refJSON) {
+				t.Fatalf("%s seed %d: tagged schema diverged under faults\n got: %s\nwant: %s",
+					name, seed, got, refJSON)
+			}
+			if st.Records != refStats.Records {
+				t.Fatalf("%s seed %d: Records = %d, want %d", name, seed, st.Records, refStats.Records)
+			}
+			totalRetries += st.Retries
 		}
 		if totalRetries == 0 {
 			t.Fatalf("%s: no retries across %d schedules: the plans injected nothing", name, schedules)
 		}
-		t.Logf("%s: %d schedules x3 dedup modes, %d retried attempts, tagged schema byte-identical", name, schedules, totalRetries)
+		t.Logf("%s: %d schedules, %d retried attempts, tagged schema byte-identical", name, schedules, totalRetries)
 	}
 }
 
@@ -327,51 +325,67 @@ func TestSkipQuarantinesPermanentChunks(t *testing.T) {
 	}
 }
 
-// TestSkipDedupMatchesDefault: under OnErrorSkip with the same
-// permanent-fault schedule, the dedup pipeline must quarantine exactly
-// the same chunks and produce the same schema and surviving record
-// count as the default pipeline — a quarantined chunk's multiset is
-// dropped wholesale, never partially merged.
+// TestSkipDedupMatchesDefault: under OnErrorSkip with a
+// permanent-fault schedule, the hash-consed chunked pipeline must
+// quarantine exactly the poisoned chunks and produce the schema and
+// exact type statistics of an independent fold over the surviving
+// chunks — a quarantined chunk's multiset is dropped wholesale, never
+// partially merged.
 func TestSkipDedupMatchesDefault(t *testing.T) {
 	data := testInput(t, "github", 400)
 	const workers = 4
 	plan := pickPermanentPlan(t, workers*4)
 
-	run := func(dedup jsi.DedupMode) (*jsi.Schema, jsi.Stats) {
-		t.Helper()
-		s, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{
-			Workers:       workers,
-			Dedup:         dedup,
-			OnError:       jsi.OnErrorSkip,
-			FaultInjector: publicInjector(plan),
-		})
-		if err != nil {
-			t.Fatalf("skip run (dedup=%v): %v", dedup, err)
+	s, st, err := jsi.Infer(context.Background(), jsi.FromBytes(data), jsi.Options{
+		Workers:       workers,
+		OnError:       jsi.OnErrorSkip,
+		FaultInjector: publicInjector(plan),
+	})
+	if err != nil {
+		t.Fatalf("skip run: %v", err)
+	}
+
+	// The reference: FromBytes's split, minus the chunks the plan fails
+	// permanently, folded outside the pipeline (decode, Simplify, left
+	// fold of Fuse, Finalize; statistics from stats.Summary).
+	chunks := jsontext.SplitLines(data, workers*4)
+	var fz fusion.Options
+	var sum stats.Summary
+	acc := types.Type(types.Empty)
+	quarantined := 0
+	for seq, chunk := range chunks {
+		if _, ferr := plan.Fault(seq, 0); errors.Is(ferr, chaos.ErrInjectedPermanent) {
+			quarantined++
+			continue
 		}
-		return s, st
+		ts, err := infer.InferAll(chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, typ := range ts {
+			sum.Add(typ)
+			acc = fz.Fuse(acc, fz.Simplify(typ))
+		}
 	}
-	defSchema, defStats := run(jsi.DedupOff)
-	ddSchema, ddStats := run(jsi.DedupOn)
-	autoSchema, autoStats := run(jsi.DedupAuto)
+	want, err := types.MarshalJSON(fz.Finalize(acc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if quarantined == 0 || quarantined == len(chunks) {
+		t.Fatalf("plan quarantines %d of %d chunks; want some but not all", quarantined, len(chunks))
+	}
 
-	if got, want := schemaJSON(t, autoSchema), schemaJSON(t, defSchema); !bytes.Equal(got, want) {
-		t.Errorf("auto skip schema diverged\n got: %s\nwant: %s", got, want)
+	if got := schemaJSON(t, s); !bytes.Equal(got, want) {
+		t.Errorf("skip schema diverged from the surviving-chunk fold\n got: %s\nwant: %s", got, want)
 	}
-	if autoStats.Records != defStats.Records {
-		t.Errorf("auto skip Records = %d, want %d", autoStats.Records, defStats.Records)
+	if st.QuarantinedChunks != quarantined {
+		t.Errorf("skip QuarantinedChunks = %d, want %d", st.QuarantinedChunks, quarantined)
 	}
-
-	if got, want := schemaJSON(t, ddSchema), schemaJSON(t, defSchema); !bytes.Equal(got, want) {
-		t.Errorf("dedup skip schema diverged\n got: %s\nwant: %s", got, want)
+	if st.Records != sum.Count() {
+		t.Errorf("skip Records = %d, want %d", st.Records, sum.Count())
 	}
-	if ddStats.Records != defStats.Records {
-		t.Errorf("dedup skip Records = %d, want %d", ddStats.Records, defStats.Records)
-	}
-	if ddStats.QuarantinedChunks != defStats.QuarantinedChunks {
-		t.Errorf("dedup skip QuarantinedChunks = %d, want %d", ddStats.QuarantinedChunks, defStats.QuarantinedChunks)
-	}
-	if ddStats.DistinctTypes != defStats.DistinctTypes {
-		t.Errorf("dedup skip DistinctTypes = %d, want %d", ddStats.DistinctTypes, defStats.DistinctTypes)
+	if st.DistinctTypes != sum.Distinct() {
+		t.Errorf("skip DistinctTypes = %d, want %d", st.DistinctTypes, sum.Distinct())
 	}
 }
 

@@ -38,11 +38,11 @@ func AblationSuccinctness(cfg Config) (Table, error) {
 		if err != nil {
 			return Table{}, err
 		}
-		sumDistinct := res.Summary.DistinctSizeSum()
+		sumDistinct := res.DistinctSizeSum
 		comp := float64(sumDistinct) / float64(res.Fused.Size())
 		t.Rows = append(t.Rows, []string{
 			name,
-			fmt.Sprintf("%d", res.Summary.Distinct()),
+			fmt.Sprintf("%d", res.DistinctTypes),
 			fmt.Sprintf("%d", sumDistinct),
 			fmt.Sprintf("%d", res.Fused.Size()),
 			fmt.Sprintf("%.1fx", comp),
@@ -232,7 +232,7 @@ func AblationPositional(cfg Config) (Table, error) {
 		paperCfg := cfg
 		paperCfg.Fusion = fusion.Options{}
 		posCfg := cfg
-		posCfg.Fusion = fusion.Options{PreserveTuples: true}
+		posCfg.Fusion = fusion.Options{Strategy: fusion.Tuples{}}
 		paper, err := RunPipeline(context.Background(), name, n, paperCfg)
 		if err != nil {
 			return Table{}, err

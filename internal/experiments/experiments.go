@@ -25,7 +25,6 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/internal/pipeline"
-	"repro/internal/stats"
 	"repro/internal/types"
 )
 
@@ -52,7 +51,7 @@ type Config struct {
 	// Workers for the map-reduce engine; 0 means GOMAXPROCS.
 	Workers int
 	// Fusion selects the fusion policy; the zero value is the paper's
-	// algorithm, PreserveTuples enables the positional-array extension.
+	// algorithm, fusion.Tuples the positional-array extension.
 	Fusion fusion.Options
 	// Recorder, when non-nil, receives per-phase wall times under the
 	// experiments_* names of docs/OBSERVABILITY.md and is forwarded to
@@ -119,11 +118,10 @@ type PipelineResult struct {
 	N       int
 	// Bytes is the NDJSON size of the input (the Table 1 measurement).
 	Bytes int64
-	// Summary holds the distinct/min/max/avg measurements of Tables 2-5.
-	Summary stats.Summary
-	// Fused is the final schema; its Size is the "fused type size"
-	// column.
-	Fused types.Type
+	// Result holds the final schema (its Size is the "fused type
+	// size" column) and the record/distinct/min/max/avg measurements
+	// of Tables 2-5.
+	pipeline.Result
 	// InferTime is the total time spent parsing + inferring types
 	// (summed across workers), FuseTime the total time fusing, and Wall
 	// the end-to-end elapsed time — the Table 6 measurements.
@@ -167,6 +165,7 @@ func RunPipelineOverNDJSON(ctx context.Context, data []byte, cfg Config) (Pipeli
 		Injector: cfg.Injector,
 		Rec:      cfg.Recorder,
 		Phases:   &ph,
+		Dedup:    pipeline.NewDedup(cfg.Fusion),
 	}
 
 	wall0 := time.Now()
@@ -174,21 +173,17 @@ func RunPipelineOverNDJSON(ctx context.Context, data []byte, cfg Config) (Pipeli
 	if err != nil {
 		return PipelineResult{}, err
 	}
-	fold := pipeline.Fold(out)
 	res := PipelineResult{
+		Result:      pipeline.Fold(out),
 		Bytes:       int64(len(data)),
-		Fused:       fold.Fused,
 		InferTime:   time.Duration(ph.InferNS.Load()),
 		FuseTime:    time.Duration(ph.FuseNS.Load()),
 		Wall:        time.Since(wall0),
 		Retries:     mrst.Retries,
 		Quarantined: len(mrst.Quarantined),
 	}
-	if fold.Summary != nil {
-		res.Summary = *fold.Summary
-	}
 	if rec := cfg.Recorder; rec != nil {
-		rec.Add("experiments_records", res.Summary.Count())
+		rec.Add("experiments_records", res.Records)
 		rec.Add("experiments_bytes", res.Bytes)
 		rec.Add("experiments_infer_ns", ph.InferNS.Load())
 		rec.Add("experiments_fuse_ns", ph.FuseNS.Load())

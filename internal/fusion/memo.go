@@ -87,7 +87,7 @@ func (m *Memo) Finalize(t types.Type) types.Type {
 // CacheStats reports the memo's cache counters. Deterministic on a
 // single-worker fault-free run; under concurrency two workers may race
 // to compute the same entry and the split between hits and misses can
-// vary (the obs WithoutCache stripper exists for exactly this).
+// vary (which is why obs WithoutTimings strips these counters).
 func (m *Memo) CacheStats() (fuseHits, fuseMisses, simplifyHits, simplifyMisses int64) {
 	return m.fuseHits.Load(), m.fuseMisses.Load(), m.simpHits.Load(), m.simpMisses.Load()
 }

@@ -31,18 +31,18 @@ func BenchmarkInferAll(b *testing.B) {
 	}
 }
 
-// BenchmarkDedupAll measures the hash-consing path: records decode into
+// BenchmarkInterningDecoder measures the hash-consing path: records decode into
 // a shared intern table and only the multiset of distinct types is
 // produced. After warm-up every record's nodes hit the table, so the
 // per-record allocation count collapses.
-func BenchmarkDedupAll(b *testing.B) {
+func BenchmarkInterningDecoder(b *testing.B) {
 	data := benchData(b, "twitter")
 	tab := intern.NewTable()
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := infer.DedupAll(data, tab); err != nil {
+		if _, err := dedupAll(data, tab); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package infer_test
 
 import (
+	"io"
 	"strings"
 	"testing"
 
@@ -10,10 +11,34 @@ import (
 	"repro/internal/types"
 )
 
-// TestDedupAllMatchesInferAll: the deduplicating decoder must type every
+// dedupAll types every top-level JSON value of data through an
+// interning decoder into a multiset over tab: one entry per distinct
+// type with its occurrence count.
+func dedupAll(data []byte, tab *intern.Table) (*intern.Multiset, error) {
+	ms := intern.NewMultiset()
+	d := infer.NewBytesDecoder(data, jsontext.Options{})
+	defer d.Release()
+	d.SetInterner(tab)
+	for {
+		t, err := d.Next()
+		if err == io.EOF {
+			return ms, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		ref, ok := tab.Ref(t)
+		if !ok {
+			ref, _ = tab.Ref(tab.Canon(t))
+		}
+		ms.Add(ref, 1)
+	}
+}
+
+// TestInterningDecoderMatchesInferAll: the deduplicating decoder must type every
 // record exactly like the plain decoder — same rendered types, counts
 // summing to the record count, one multiset entry per distinct type.
-func TestDedupAllMatchesInferAll(t *testing.T) {
+func TestInterningDecoderMatchesInferAll(t *testing.T) {
 	data := []byte(strings.TrimSpace(`
 {"a": 1, "b": "x"}
 {"b": "y", "a": 2}
@@ -30,7 +55,7 @@ func TestDedupAllMatchesInferAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab := intern.NewTable()
-	ms, err := infer.DedupAll(data, tab)
+	ms, err := dedupAll(data, tab)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +119,7 @@ func TestDedupErrorsMatchPlain(t *testing.T) {
 	}
 	for _, src := range cases {
 		_, plainErr := infer.InferAll([]byte(src))
-		_, dedupErr := infer.DedupAll([]byte(src), intern.NewTable())
+		_, dedupErr := dedupAll([]byte(src), intern.NewTable())
 		if plainErr == nil || dedupErr == nil {
 			t.Fatalf("%q: expected errors, got %v / %v", src, plainErr, dedupErr)
 		}
@@ -114,7 +139,7 @@ func TestScratchReuseIsolation(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab := intern.NewTable()
-	ms, err := infer.DedupAll([]byte(src), tab)
+	ms, err := dedupAll([]byte(src), tab)
 	if err != nil {
 		t.Fatal(err)
 	}

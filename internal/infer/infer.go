@@ -487,51 +487,3 @@ func InferAllWith(data []byte, obs Observer, pr Promoter) ([]types.Type, error) 
 		ts = append(ts, t)
 	}
 }
-
-// DedupAll infers the types of all top-level JSON values in data as a
-// multiset over tab: one entry per distinct type with its occurrence
-// count. This is the deduplicating map phase — a chunk of n records
-// reduces to its distinct shapes, and the fold over those shapes yields
-// exactly the same fused type as folding all n per-record types, because
-// fusion is commutative, associative and idempotent.
-func DedupAll(data []byte, tab *intern.Table) (*intern.Multiset, error) {
-	return DedupAllObserved(data, tab, nil)
-}
-
-// DedupAllObserved is DedupAll with value events reported to obs (when
-// non-nil). Observation stays per record — the multiset deduplicates
-// types, not values, and enrichment wants every value.
-func DedupAllObserved(data []byte, tab *intern.Table, obs Observer) (*intern.Multiset, error) {
-	return DedupAllWith(data, tab, obs, nil)
-}
-
-// DedupAllWith is DedupAllObserved with a tagged-union promoter (both
-// obs and pr may be nil) — the fully optioned deduplicating map stage.
-func DedupAllWith(data []byte, tab *intern.Table, obs Observer, pr Promoter) (*intern.Multiset, error) {
-	ms := intern.NewMultiset()
-	d := NewBytesDecoder(data, jsontext.Options{})
-	defer d.Release()
-	d.SetInterner(tab)
-	if obs != nil {
-		d.SetObserver(obs)
-	}
-	if pr != nil {
-		d.SetPromoter(pr)
-	}
-	for {
-		t, err := d.Next()
-		if err == io.EOF {
-			return ms, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		ref, ok := tab.Ref(t)
-		if !ok {
-			// Unreachable under the interner invariant, but keep the
-			// multiset sound if it ever breaks.
-			ref, _ = tab.Ref(tab.Canon(t))
-		}
-		ms.Add(ref, 1)
-	}
-}

@@ -35,12 +35,6 @@ func (m *Multiset) Add(r Ref, n int64) {
 	m.elems = append(m.elems, Elem{Ref: r, Count: n})
 }
 
-// Contains reports whether id occurs at least once.
-func (m *Multiset) Contains(id ID) bool {
-	_, ok := m.index[id]
-	return ok
-}
-
 // Merge folds other into m: counts of shared types add, types new to m
 // append in other's first-seen order. Merging is associative and
 // commutative on the counts (the element ORDER depends on merge order,

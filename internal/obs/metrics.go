@@ -165,41 +165,12 @@ func (m Metrics) WithoutFaults() Metrics {
 // IsCacheMetric reports whether the named metric counts cache
 // effectiveness rather than work done: the intern-table counters
 // (intern_hits, intern_misses) and the fuse/simplify cache counters
-// (fuse_cache_hits, simplify_cache_misses, ...). These are exact only
-// on a single-worker fault-free run — concurrent workers can race to
-// compute the same entry (shifting the hit/miss split) and retried
-// chunks re-intern their types — so determinism comparisons strip them
-// via WithoutCache.
+// (fuse_cache_hits, simplify_cache_misses, ...). Which chunks intern is
+// a shared, timing-dependent decision, concurrent workers can race to
+// compute the same entry and retried chunks re-intern their types, so
+// these depend on scheduling and WithoutTimings strips them.
 func IsCacheMetric(name string) bool {
 	return strings.HasPrefix(name, "intern_") || strings.Contains(name, "_cache_")
-}
-
-// WithoutCache returns a copy of the snapshot with every
-// cache-effectiveness metric removed (see IsCacheMetric). Composed with
-// WithoutTimings, what remains must be identical between a dedup run
-// and a default run over the same input.
-func (m Metrics) WithoutCache() Metrics {
-	out := Metrics{
-		Counters:   make(map[string]int64),
-		Gauges:     make(map[string]int64),
-		Histograms: make(map[string]HistogramSnapshot),
-	}
-	for name, v := range m.Counters {
-		if !IsCacheMetric(name) {
-			out.Counters[name] = v
-		}
-	}
-	for name, v := range m.Gauges {
-		if !IsCacheMetric(name) {
-			out.Gauges[name] = v
-		}
-	}
-	for name, h := range m.Histograms {
-		if !IsCacheMetric(name) {
-			out.Histograms[name] = cloneHistogram(h)
-		}
-	}
-	return out
 }
 
 // IsTimingMetric reports whether the named metric depends on host
@@ -214,9 +185,10 @@ func IsTimingMetric(name string) bool {
 }
 
 // WithoutTimings returns a copy of the snapshot with every
-// timing-dependent metric removed (see IsTimingMetric). What remains
-// is byte-for-byte reproducible across runs over the same input with
-// the same configuration — the determinism tests compare exactly this.
+// timing-dependent metric and every cache counter removed (see
+// IsTimingMetric and IsCacheMetric). What remains is byte-for-byte
+// reproducible across runs over the same input with the same
+// configuration — the determinism tests compare exactly this.
 func (m Metrics) WithoutTimings() Metrics {
 	out := Metrics{
 		Counters:   make(map[string]int64),
@@ -224,17 +196,17 @@ func (m Metrics) WithoutTimings() Metrics {
 		Histograms: make(map[string]HistogramSnapshot),
 	}
 	for name, v := range m.Counters {
-		if !IsTimingMetric(name) {
+		if !IsTimingMetric(name) && !IsCacheMetric(name) {
 			out.Counters[name] = v
 		}
 	}
 	for name, v := range m.Gauges {
-		if !IsTimingMetric(name) {
+		if !IsTimingMetric(name) && !IsCacheMetric(name) {
 			out.Gauges[name] = v
 		}
 	}
 	for name, h := range m.Histograms {
-		if !IsTimingMetric(name) {
+		if !IsTimingMetric(name) && !IsCacheMetric(name) {
 			out.Histograms[name] = cloneHistogram(h)
 		}
 	}

@@ -37,14 +37,34 @@ func monoidRecords() [][]byte {
 	return bytes.Split(monoidNDJSON, []byte("\n"))
 }
 
-// payload is one Accumulator implementation under test: an engine
+// payload is one Accumulator configuration under test: an engine
 // configuration plus the way it builds accumulators. All accumulators
 // from the same payload share dedup state, exactly as the engine
-// guarantees within one run.
+// guarantees within one run. The chunked accumulator is covered in its
+// three regimes: every record interned (dedup), every record degraded
+// to the plain path (plain), and chunks that switch mid-way (auto).
 type payload struct {
 	name   string
 	env    *Env
 	stream bool
+}
+
+// tuples is the positional-array fusion policy.
+var tuples = fusion.Options{Strategy: fusion.Tuples{}}
+
+// dedupTestEnv is a chunked Env with the default knobs: chunks of
+// fewer than 256 records never finish sampling, so every record is
+// interned.
+func dedupTestEnv(fz fusion.Options, enr *enrich.Set) *Env {
+	return &Env{Fusion: fz, Dedup: NewDedup(fz), Enrich: enr}
+}
+
+// plainTestEnv is a chunked Env whose shared hint has settled on
+// degrading, so every chunk types all its records without interning.
+func plainTestEnv(fz fusion.Options, enr *enrich.Set) *Env {
+	env := dedupTestEnv(fz, enr)
+	env.Dedup.hint.Store(hintDegrade)
+	return env
 }
 
 func payloads(t *testing.T) []payload {
@@ -54,12 +74,15 @@ func payloads(t *testing.T) []payload {
 		t.Fatal(err)
 	}
 	return []payload{
-		{"plain", &Env{Fusion: fusion.Options{}}, false},
+		{"plain", plainTestEnv(fusion.Options{}, nil), false},
 		{"plain-stream", &Env{Fusion: fusion.Options{}}, true},
-		{"plain-tuples", &Env{Fusion: fusion.Options{PreserveTuples: true}}, false},
-		{"dedup", &Env{Dedup: NewDedup(fusion.Options{})}, false},
-		{"plain-enrich", &Env{Fusion: fusion.Options{}, Enrich: set}, false},
-		{"dedup-enrich", &Env{Dedup: NewDedup(fusion.Options{}), Enrich: set}, false},
+		{"plain-tuples", plainTestEnv(tuples, nil), false},
+		{"dedup", dedupTestEnv(fusion.Options{}, nil), false},
+		{"plain-enrich", plainTestEnv(fusion.Options{}, set), false},
+		{"dedup-enrich", dedupTestEnv(fusion.Options{}, set), false},
+		{"auto", autoTestEnv(fusion.Options{}, nil), false},
+		{"auto-tuples", autoTestEnv(tuples, nil), false},
+		{"auto-enrich", autoTestEnv(fusion.Options{}, set), false},
 	}
 }
 
@@ -69,12 +92,13 @@ func (p payload) empty() Accumulator {
 	if p.stream {
 		return p.env.NewStreamAcc()
 	}
-	return p.env.NewAcc()
+	return newAutoAcc(p.env.Dedup, p.env.Fusion)
 }
 
 // buildChunk runs a chunk of records through the payload's real map
-// path (mapChunk for chunked modes, the stream accumulator otherwise),
-// so the harness exercises exactly what the engine produces.
+// path (mapChunk for chunked payloads, the stream accumulator
+// otherwise), so the harness exercises exactly what the engine
+// produces.
 func buildChunk(t *testing.T, p payload, chunk []byte) Accumulator {
 	t.Helper()
 	if p.stream {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/enrich"
 	"repro/internal/fusion"
 )
 
@@ -14,11 +15,18 @@ import (
 // sample, a 0.5 degrade ratio, and a node-growth guard low enough that
 // any all-distinct window passes it.
 func autoTestDedup() *Dedup {
-	dd := NewAutoDedup(fusion.Options{})
-	dd.Sample = 8
-	dd.Threshold = 0.5
-	dd.NodeGrowth = 0.01
-	return dd
+	return autoTestEnv(fusion.Options{}, nil).Dedup
+}
+
+// autoTestEnv is an adaptive Env under the given fusion policy and
+// enrichment selection, with the knobs of autoTestDedup: one chunk of
+// a handful of records mixes interned and degraded records.
+func autoTestEnv(fz fusion.Options, enr *enrich.Set) *Env {
+	env := dedupTestEnv(fz, enr)
+	env.Dedup.sample = 8
+	env.Dedup.threshold = 0.5
+	env.Dedup.nodeGrowth = 0.01
+	return env
 }
 
 // ndjsonFields builds one NDJSON chunk with a record per field name:
@@ -45,7 +53,8 @@ func roundRobin(n int, names ...string) []string {
 // semantics: a sampled window whose distinct ratio lands exactly on
 // the threshold degrades (the predicate is >=), one distinct type
 // fewer stays on the dedup path — and either way the folded Result is
-// byte-identical to both fixed payloads over the same chunk.
+// byte-identical to the all-interned and all-degraded regimes over the
+// same chunk.
 func TestAutoThresholdBoundary(t *testing.T) {
 	cases := []struct {
 		label   string
@@ -79,8 +88,8 @@ func TestAutoThresholdBoundary(t *testing.T) {
 				label string
 				env   *Env
 			}{
-				{"dedup", &Env{Fusion: fusion.Options{}, Dedup: NewDedup(fusion.Options{})}},
-				{"plain", &Env{Fusion: fusion.Options{}}},
+				{"dedup", dedupTestEnv(fusion.Options{}, nil)},
+				{"plain", plainTestEnv(fusion.Options{}, nil)},
 			} {
 				facc, err := fixed.env.mapChunk(chunk)
 				if err != nil {
@@ -171,9 +180,10 @@ func TestAutoCombineBoundaryRecheck(t *testing.T) {
 	})
 }
 
-// TestAutoStreamDegrade runs the adaptive accumulator under the
-// sequential streaming driver across a mid-stream degrade and checks
-// the fold against both fixed streaming modes.
+// TestAutoStreamDegrade pins that the streaming driver stays plain:
+// over input whose chunked run degrades mid-chunk, RunStream with the
+// same Env never touches the intern table and folds to the same
+// schema and size statistics (DistinctTypes stays zero on the stream).
 func TestAutoStreamDegrade(t *testing.T) {
 	// 8 all-distinct sampled records force a degrade, then 12 more
 	// records (4 fresh shapes, with repeats) run down the plain path.
@@ -182,51 +192,37 @@ func TestAutoStreamDegrade(t *testing.T) {
 		roundRobin(12, "w", "x", "y", "z")...)
 	data := ndjsonFields(records...)
 
-	autoEnv := &Env{Fusion: fusion.Options{}, Dedup: autoTestDedup()}
-	acc, n, err := RunStream(context.Background(), autoEnv, strings.NewReader(string(data)))
+	env := autoTestEnv(fusion.Options{}, nil)
+	tab0 := env.Dedup.Tab.Len()
+	acc, n, err := RunStream(context.Background(), env, strings.NewReader(string(data)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != int64(len(data)) {
 		t.Fatalf("consumed %d bytes, want %d", n, len(data))
 	}
-	if got := autoEnv.Dedup.hint.Load(); got != hintDegrade {
-		t.Fatalf("hint after all-distinct sample = %d, want %d", got, hintDegrade)
+	if got := env.Dedup.Tab.Len(); got != tab0 {
+		t.Fatalf("streaming run interned %d nodes, want none", got-tab0)
 	}
 	got := Fold(acc)
-	if got.Records != int64(len(records)) {
-		t.Fatalf("records = %d, want %d", got.Records, len(records))
+	if got.Records != int64(len(records)) || got.DistinctTypes != 0 {
+		t.Fatalf("records = %d, distinct = %d; want %d, 0", got.Records, got.DistinctTypes, len(records))
 	}
 
-	dedupEnv := &Env{Fusion: fusion.Options{}, Dedup: NewDedup(fusion.Options{})}
-	dacc, _, err := RunStream(context.Background(), dedupEnv, strings.NewReader(string(data)))
+	cacc, err := env.mapChunk(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Fold(dacc)
+	if h := env.Dedup.hint.Load(); h != hintDegrade {
+		t.Fatalf("hint after all-distinct sample = %d, want %d", h, hintDegrade)
+	}
+	want := Fold(cacc)
 	if got.Fused.String() != want.Fused.String() {
 		t.Errorf("fused: %s != %s", got.Fused, want.Fused)
-	}
-	if got.DistinctTypes != want.DistinctTypes || got.Records != want.Records {
-		t.Errorf("stats: distinct %d/%d records %d/%d",
-			got.DistinctTypes, want.DistinctTypes, got.Records, want.Records)
 	}
 	if got.MinTypeSize != want.MinTypeSize || got.MaxTypeSize != want.MaxTypeSize || got.AvgTypeSize != want.AvgTypeSize {
 		t.Errorf("sizes: min %d/%d max %d/%d avg %v/%v",
 			got.MinTypeSize, want.MinTypeSize, got.MaxTypeSize, want.MaxTypeSize,
 			got.AvgTypeSize, want.AvgTypeSize)
-	}
-
-	plainEnv := &Env{Fusion: fusion.Options{}}
-	pacc, _, err := RunStream(context.Background(), plainEnv, strings.NewReader(string(data)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain := Fold(pacc)
-	if got.Fused.String() != plain.Fused.String() {
-		t.Errorf("fused vs plain stream: %s != %s", got.Fused, plain.Fused)
-	}
-	if got.Records != plain.Records {
-		t.Errorf("records vs plain stream: %d != %d", got.Records, plain.Records)
 	}
 }

@@ -7,12 +7,11 @@
 //
 // over an Env that bundles what used to be five separately threaded
 // parameters (fusion policy, worker count, failure policy, recorder,
-// progress hook, dedup state). The map and combine stages are derived
-// from the Env's payload kind: the plain summary or the hash-consed
-// distinct-type multiset, both implementations of the Accumulator
-// monoid (see accumulator.go). A future backend — sharded, serving,
-// remote — is a new feed plus (at most) a new Accumulator, not a sixth
-// copy of the pipeline.
+// progress hook, dedup state). The map stage types each chunk into an
+// Accumulator — the monoid the combine stage folds (see
+// accumulator.go). A future backend — sharded, serving, remote — is a
+// new feed plus (at most) a new Accumulator, not a sixth copy of the
+// pipeline.
 //
 // Two drivers share the stages: Run distributes line-aligned chunks
 // over the map-reduce engine (parallel, fault-tolerant), RunStream
@@ -64,9 +63,9 @@ type Env struct {
 	// ProgressEveryRecords records on the streaming path); nil reports
 	// nothing.
 	Progress func()
-	// Dedup, when non-nil, selects the hash-consed payload: the map
-	// phase interns types and emits distinct-type multisets, fusion
-	// runs through the memo.
+	// Dedup is the intern table and fusion memo the chunked map stage
+	// types into; Run requires it (build it with NewDedup under
+	// Fusion), RunStream ignores it.
 	Dedup *Dedup
 	// Enrich, when non-nil, computes the configured enrichment monoids
 	// (internal/enrich) alongside structural inference in the same
@@ -82,40 +81,37 @@ type Env struct {
 	Phases *Phases
 }
 
-// Dedup is the shared machinery of one deduplicating run: the
+// Dedup is the shared machinery of the chunked map stage: the
 // hash-consing table the decoders intern into and the memoized fusion
 // policy keyed by that table's IDs. One value spans all chunks, workers
 // and files of a single run.
 //
-// With Auto set, the run is adaptive: each map task samples the
-// distinct-type ratio and the intern-table growth over the first
-// Sample records of its chunk and degrades the rest of the chunk to
-// the plain (non-interning) path when hash-consing cannot pay for
-// itself — an all-distinct stream past Threshold that also allocates
-// NodeGrowth or more new interned nodes per record. The decision is
-// re-checked at every combine boundary against the merged multiset
-// cardinality, and the outcome is shared across chunks through an
-// atomic hint so settled runs stop sampling. Only the cost model is
-// adaptive: schemas and statistics are byte-identical to both fixed
-// modes (pinned by the differential and chaos suites).
+// Interning pays on repetitive data and only costs on all-distinct
+// data, so each map task picks per chunk: it samples the distinct-type
+// ratio and the intern-table growth over the first records of its
+// chunk and types the rest of the chunk without interning when
+// hash-consing cannot pay for itself — an all-distinct window at or
+// past the threshold that also allocates nodeGrowth or more new
+// interned nodes per record. The decision is re-checked at every
+// combine boundary against the merged multiset cardinality, and the
+// outcome is shared across chunks through an atomic hint so settled
+// runs stop sampling. Only the cost is adaptive: schemas and
+// statistics are byte-identical whichever way a chunk goes (pinned by
+// the differential and chaos suites).
 type Dedup struct {
 	Tab  *intern.Table
 	Memo *fusion.Memo
 
-	// Auto enables the adaptive layer.
-	Auto bool
-	// Sample is the number of records each chunk types through the
-	// interner before deciding; zero means DefaultDedupSample.
-	Sample int
-	// Threshold is the sampled distinct-type ratio at or above which a
-	// chunk degrades (subject to the NodeGrowth guard); zero means
-	// DefaultDedupThreshold.
-	Threshold float64
-	// NodeGrowth is the minimum new interned nodes per sampled record
-	// for a degrade: high-ratio data whose subtrees still dedup (shared
-	// nested shapes) keeps paying for hash-consing. Zero means
-	// DefaultDedupNodeGrowth.
-	NodeGrowth float64
+	// sample is the number of records each chunk types through the
+	// interner before deciding; threshold is the sampled distinct-type
+	// ratio at or above which a chunk degrades (subject to the
+	// nodeGrowth guard); nodeGrowth is the minimum new interned nodes
+	// per sampled record for a degrade: high-ratio data whose subtrees
+	// still dedup (shared nested shapes) keeps paying for hash-consing.
+	// NewDedup sets the defaults below; only tests change them.
+	sample     int
+	threshold  float64
+	nodeGrowth float64
 
 	// hint is the shared adaptive decision: hintSample (zero) makes the
 	// next chunk sample, hintDedup keeps chunks on the interning path,
@@ -131,16 +127,16 @@ type Dedup struct {
 	sampNodes atomic.Int64
 }
 
-// Adaptive-dedup defaults: sample size, degrade ratio, and the
-// node-growth guard. The guard separates data that is all-distinct at
-// the top level but shares subtrees (nytimes: ~0.7-1.4 new nodes per
-// record, dedup wins) from ids-as-keys data where nearly every node is
-// fresh (wikidata: 3-7 new nodes per record, interning is pure
+// Defaults of the per-chunk choice: sample size, degrade ratio, and
+// the node-growth guard. The guard separates data that is all-distinct
+// at the top level but shares subtrees (nytimes: ~0.7-1.4 new nodes per
+// record, interning wins) from ids-as-keys data where nearly every node
+// is fresh (wikidata: 3-7 new nodes per record, interning is pure
 // overhead).
 const (
-	DefaultDedupSample     = 256
-	DefaultDedupThreshold  = 0.9
-	DefaultDedupNodeGrowth = 2.5
+	defaultDedupSample     = 256
+	defaultDedupThreshold  = 0.9
+	defaultDedupNodeGrowth = 2.5
 )
 
 // Shared hint values.
@@ -150,39 +146,17 @@ const (
 	hintDegrade int32 = -1
 )
 
-// NewDedup builds the dedup machinery for one run under the given
-// fusion policy.
+// NewDedup builds the intern table and fusion memo for one run under
+// the given fusion policy.
 func NewDedup(o fusion.Options) *Dedup {
 	tab := intern.NewTable()
-	return &Dedup{Tab: tab, Memo: fusion.NewMemo(o, tab)}
-}
-
-// NewAutoDedup builds adaptive dedup machinery with default knobs.
-func NewAutoDedup(o fusion.Options) *Dedup {
-	dd := NewDedup(o)
-	dd.Auto = true
-	return dd
-}
-
-func (dd *Dedup) sampleSize() int {
-	if dd.Sample > 0 {
-		return dd.Sample
+	return &Dedup{
+		Tab:        tab,
+		Memo:       fusion.NewMemo(o, tab),
+		sample:     defaultDedupSample,
+		threshold:  defaultDedupThreshold,
+		nodeGrowth: defaultDedupNodeGrowth,
 	}
-	return DefaultDedupSample
-}
-
-func (dd *Dedup) threshold() float64 {
-	if dd.Threshold > 0 {
-		return dd.Threshold
-	}
-	return DefaultDedupThreshold
-}
-
-func (dd *Dedup) nodeGrowth() float64 {
-	if dd.NodeGrowth > 0 {
-		return dd.NodeGrowth
-	}
-	return DefaultDedupNodeGrowth
 }
 
 // noteSample folds one chunk's sampling evidence (records typed through
@@ -211,7 +185,7 @@ func (dd *Dedup) sampledGrowth() float64 {
 // decide evaluates the degrade predicate over a sampled window and
 // publishes the outcome as the shared hint.
 func (dd *Dedup) decide(distinct, records int64, growth float64) bool {
-	degrade := float64(distinct) >= dd.threshold()*float64(records) && growth >= dd.nodeGrowth()
+	degrade := float64(distinct) >= dd.threshold*float64(records) && growth >= dd.nodeGrowth
 	if degrade {
 		dd.hint.Store(hintDegrade)
 	} else {
@@ -286,7 +260,7 @@ const FeedBuffer = 4
 // one. The feed's producer goroutine is always joined before Run
 // returns, so no goroutine outlives the call. The returned Accumulator
 // is nil when the feed produced nothing (Fold handles it); callers
-// that span several inputs (multi-file dedup) Combine the returned
+// that span several inputs (FromFiles) Combine the returned
 // accumulators before folding.
 func Run(ctx context.Context, env *Env, feed Feed) (Accumulator, mapreduce.Stats, error) {
 	return RunPooled(ctx, env, feed, nil)
@@ -357,84 +331,25 @@ func RunPooled(ctx context.Context, env *Env, feed Feed, release func([]byte)) (
 	return out, mrst, nil
 }
 
-// mapChunk is the decode+infer map stage: it types every value of one
-// line-aligned chunk and folds them into a fresh Accumulator of the
-// Env's payload kind.
+// mapChunk is the decode+infer map stage: it types the first sample
+// records of the chunk through the interner (unless the shared hint
+// already settled on degrading), then decides — a sampled distinct
+// ratio at or above the threshold with enough intern-table growth per
+// record means hash-consing is pure overhead here — and types the rest
+// of the chunk down whichever path won. The interned portion fuses
+// through the memo, the degraded portion as a balanced tree; both land
+// in one autoAcc.
 func (e *Env) mapChunk(chunk []byte) (Accumulator, error) {
+	dd := e.Dedup
+	acc := newAutoAcc(dd, e.Fusion)
 	// A failed decode discards the chunk's lattice along with its
 	// accumulator, so retried attempts observe into a fresh one and the
 	// combine stays exactly-once for enrichment too (docs/ENRICHMENT.md).
-	lat := e.newLattice()
-	if dd := e.Dedup; dd != nil {
-		if dd.Auto {
-			return e.mapAutoChunk(chunk, lat)
-		}
-		// The dedup map task types a chunk into a multiset of distinct
-		// interned types and folds the DISTINCT types once each. By
-		// commutativity, associativity and idempotency of fusion on
-		// simplified types, this equals folding all per-record types —
-		// the chunk metrics (record counts, fused size) are therefore
-		// identical to the plain payload's.
-		t0 := e.phaseStart()
-		ms, err := infer.DedupAllWith(chunk, dd.Tab, observer(lat), e.promoter())
-		if err != nil {
-			return nil, err
-		}
-		t0 = e.lapInfer(t0)
-		// A memoized left fold beats a balanced tree here: chunks of
-		// similar data replay the same (accumulated, distinct) fuse
-		// pairs, so the memo cache absorbs most of the work, whereas
-		// tree-shaped intermediates vary per chunk and miss the cache.
-		// The all-distinct case where a left fold degenerates is
-		// exactly the case DedupAuto degrades to the plain payload,
-		// which reduces tree-shaped below.
-		fused := types.Type(types.Empty)
-		for _, el := range ms.Elems() {
-			fused = dd.Memo.Fuse(fused, dd.Memo.Simplify(el.Type))
-		}
-		e.lapFuse(t0)
-		e.recordChunk(ms.Total(), int64(len(chunk)), fused)
-		return &dedupAcc{dd: dd, ms: ms, fused: fused, lat: lat}, nil
-	}
-	t0 := e.phaseStart()
-	ts, err := infer.InferAllWith(chunk, observer(lat), e.promoter())
-	if err != nil {
-		return nil, err
-	}
-	t0 = e.lapInfer(t0)
-	acc := e.NewAcc().(*plainAcc)
-	acc.lat = lat
-	for _, t := range ts {
-		acc.sum.Add(t)
-	}
-	// Simplify in place, then reduce pairwise: ts is chunk-local scratch
-	// from here on.
-	for i, t := range ts {
-		ts[i] = acc.fz.Simplify(t)
-	}
-	acc.fused = treeFuse(ts, acc.fz.Fuse)
-	e.lapFuse(t0)
-	e.recordChunk(acc.sum.Count(), int64(len(chunk)), acc.fused)
-	return acc, nil
-}
-
-// mapAutoChunk is the adaptive map stage: it types the first
-// sampleSize records of the chunk through the interner (unless the
-// shared hint already settled on degrading), then decides — sampled
-// distinct ratio at or above the threshold with enough intern-table
-// growth per record means hash-consing is pure overhead here — and
-// types the rest of the chunk down whichever path won. The interned
-// portion fuses through the memo, the degraded portion as a balanced
-// tree; the resulting autoAcc folds to the same bytes either fixed
-// payload would.
-func (e *Env) mapAutoChunk(chunk []byte, lat *enrich.Lattice) (Accumulator, error) {
-	dd := e.Dedup
-	acc := newAutoAcc(dd, e.Fusion)
-	acc.lat = lat
+	acc.lat = e.newLattice()
 	t0 := e.phaseStart()
 	dec := infer.NewBytesDecoder(chunk, jsontext.Options{})
 	defer dec.Release()
-	if o := observer(lat); o != nil {
+	if o := observer(acc.lat); o != nil {
 		dec.SetObserver(o)
 	}
 	if pr := e.promoter(); pr != nil {
@@ -447,7 +362,7 @@ func (e *Env) mapAutoChunk(chunk []byte, lat *enrich.Lattice) (Accumulator, erro
 	var (
 		sampled int64
 		tab0    = dd.Tab.Len()
-		limit   = int64(dd.sampleSize())
+		limit   = int64(dd.sample)
 		plain   []types.Type
 		records int64
 	)
@@ -479,16 +394,19 @@ func (e *Env) mapAutoChunk(chunk []byte, lat *enrich.Lattice) (Accumulator, erro
 		}
 	}
 	t0 = e.lapInfer(t0)
-	// Interned portion: memoized left fold over the distinct types, as
-	// in the fixed dedup payload. Degraded portion: balanced tree over
-	// the per-record types, as in the plain payload.
+	// Interned portion: a memoized left fold over the distinct types —
+	// chunks of similar data replay the same (accumulated, distinct)
+	// fuse pairs, so the memo cache absorbs most of the work, whereas
+	// tree-shaped intermediates vary per chunk and miss the cache.
+	// Degraded portion: a balanced tree over the per-record types,
+	// where a left fold would degenerate (see treeFuse).
 	fused := types.Type(types.Empty)
 	for _, el := range acc.ms.Elems() {
 		fused = dd.Memo.Fuse(fused, dd.Memo.Simplify(el.Type))
 	}
 	if len(plain) > 0 {
 		for _, t := range plain {
-			acc.deg.add(t)
+			acc.addDegraded(t)
 		}
 		for i, t := range plain {
 			plain[i] = e.Fusion.Simplify(t)
@@ -589,8 +507,8 @@ func (e *Env) lapFuse(t0 time.Time) {
 	e.Phases.FuseNS.Add(int64(time.Since(t0)))
 }
 
-// recordChunk emits the per-chunk metrics and progress tick shared by
-// the plain and dedup map stages.
+// recordChunk emits the per-chunk metrics and progress tick of the map
+// stage.
 func (e *Env) recordChunk(records, bytes int64, fused types.Type) {
 	if rec := e.Rec; rec != nil {
 		rec.Add("infer_chunks", 1)
@@ -613,18 +531,14 @@ func (e *Env) recordChunk(records, bytes int64, fused types.Type) {
 func RunStream(ctx context.Context, env *Env, r io.Reader) (Accumulator, int64, error) {
 	dec := infer.NewDecoder(r, jsontext.Options{MaxDepth: env.MaxDepth})
 	defer dec.Release()
-	if env.Dedup != nil {
-		dec.SetInterner(env.Dedup.Tab)
-	}
 	if pr := env.promoter(); pr != nil {
 		dec.SetPromoter(pr)
 	}
 	acc := env.NewStreamAcc()
 	if lat := env.newLattice(); lat != nil {
 		dec.SetObserver(lat)
-		attachLattice(acc, lat)
+		acc.lat = lat
 	}
-	auto, _ := acc.(*autoAcc)
 	var records int64
 	for {
 		// Batched cancellation: the ctx check runs once per
@@ -652,11 +566,6 @@ func RunStream(ctx context.Context, env *Env, r io.Reader) (Accumulator, int64, 
 			return nil, 0, fmt.Errorf("record %d: %w", records+1, err)
 		}
 		acc.Add(t)
-		if auto != nil && auto.degraded {
-			// The adaptive stream accumulator degraded: stop interning
-			// decoded types (SetInterner is an idempotent field store).
-			dec.SetInterner(nil)
-		}
 		records++
 		if env.Rec != nil {
 			env.Rec.Add("infer_records", 1)

@@ -69,7 +69,7 @@ func TestRunMidFeedCancel(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	env := &Env{Workers: 2, Progress: cancel}
+	env := &Env{Workers: 2, Progress: cancel, Dedup: NewDedup(fusion.Options{})}
 	_, _, err := Run(ctx, env, endlessFeed([]byte(`{"a":1}`)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -87,6 +87,7 @@ func TestRunMidCombineCancel(t *testing.T) {
 	env := &Env{
 		Workers: 2,
 		Rec:     &cancelOnObserve{metric: "mapreduce_combine_ns", cancel: cancel},
+		Dedup:   NewDedup(fusion.Options{}),
 	}
 	_, _, err := Run(ctx, env, endlessFeed([]byte(`{"a":1}`)))
 	if !errors.Is(err, context.Canceled) {
@@ -101,7 +102,7 @@ func TestRunPreCancelled(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := Run(ctx, &Env{Workers: 2}, endlessFeed([]byte(`{"a":1}`)))
+	_, _, err := Run(ctx, &Env{Workers: 2, Dedup: NewDedup(fusion.Options{})}, endlessFeed([]byte(`{"a":1}`)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -120,7 +121,7 @@ func TestRunFeedError(t *testing.T) {
 		}
 		return cause
 	}
-	_, _, err := Run(context.Background(), &Env{Workers: 2}, feed)
+	_, _, err := Run(context.Background(), &Env{Workers: 2, Dedup: NewDedup(fusion.Options{})}, feed)
 	var fe *FeedError
 	if !errors.As(err, &fe) {
 		t.Fatalf("err = %v (%T), want *FeedError", err, err)
@@ -131,7 +132,7 @@ func TestRunFeedError(t *testing.T) {
 	checkNoLeakedGoroutines(t, before)
 
 	// A decode failure is NOT a FeedError: the input arrived fine.
-	_, _, err = Run(context.Background(), &Env{Workers: 1}, SliceFeed([][]byte{[]byte(`{"broken`)}))
+	_, _, err = Run(context.Background(), &Env{Workers: 1, Dedup: NewDedup(fusion.Options{})}, SliceFeed([][]byte{[]byte(`{"broken`)}))
 	if err == nil {
 		t.Fatal("invalid JSON accepted")
 	}
@@ -141,39 +142,35 @@ func TestRunFeedError(t *testing.T) {
 }
 
 // TestRunAndStreamAgree runs the same records through the chunked and
-// streaming drivers, plain and dedup, and compares the folds — the two
-// drivers share stages, so they must agree wherever both keep the
-// bookkeeping (the plain streaming payload legitimately reports zero
-// DistinctTypes).
+// streaming drivers and compares the folds — the two drivers share
+// stages, so they must agree wherever both keep the bookkeeping (the
+// streaming payload legitimately reports zero DistinctTypes).
 func TestRunAndStreamAgree(t *testing.T) {
 	data := bytes.Repeat([]byte(`{"a":1,"b":[1,2]}
 {"a":"x"}
 `), 50)
-	for _, dedup := range []bool{false, true} {
-		env := &Env{Workers: 2, Fusion: fusion.Options{}}
-		streamEnv := &Env{Fusion: fusion.Options{}}
-		if dedup {
-			env.Dedup = NewDedup(env.Fusion)
-			streamEnv.Dedup = NewDedup(streamEnv.Fusion)
-		}
-		acc, _, err := Run(context.Background(), env, SliceFeed([][]byte{data}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		sacc, n, err := RunStream(context.Background(), streamEnv, bytes.NewReader(data))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n != int64(len(data)) {
-			t.Errorf("dedup=%v: stream consumed %d bytes, want %d", dedup, n, len(data))
-		}
-		chunked, streamed := Fold(acc), Fold(sacc)
-		if chunked.Records != streamed.Records || chunked.Fused.String() != streamed.Fused.String() {
-			t.Errorf("dedup=%v: chunked %+v vs streamed %+v", dedup, chunked, streamed)
-		}
-		if dedup && chunked.DistinctTypes != streamed.DistinctTypes {
-			t.Errorf("dedup: DistinctTypes %d vs %d", chunked.DistinctTypes, streamed.DistinctTypes)
-		}
+	env := &Env{Workers: 2, Fusion: fusion.Options{}, Dedup: NewDedup(fusion.Options{})}
+	streamEnv := &Env{Fusion: fusion.Options{}}
+	acc, _, err := Run(context.Background(), env, SliceFeed([][]byte{data}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sacc, n, err := RunStream(context.Background(), streamEnv, bytes.NewReader(data))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != int64(len(data)) {
+		t.Errorf("stream consumed %d bytes, want %d", n, len(data))
+	}
+	chunked, streamed := Fold(acc), Fold(sacc)
+	if chunked.Records != streamed.Records || chunked.Fused.String() != streamed.Fused.String() {
+		t.Errorf("chunked %+v vs streamed %+v", chunked, streamed)
+	}
+	if chunked.MinTypeSize != streamed.MinTypeSize || chunked.MaxTypeSize != streamed.MaxTypeSize || chunked.AvgTypeSize != streamed.AvgTypeSize {
+		t.Errorf("sizes: chunked %+v vs streamed %+v", chunked, streamed)
+	}
+	if chunked.DistinctTypes != 2 || streamed.DistinctTypes != 0 {
+		t.Errorf("DistinctTypes: chunked %d (want 2), streamed %d (want 0)", chunked.DistinctTypes, streamed.DistinctTypes)
 	}
 }
 

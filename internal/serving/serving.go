@@ -69,10 +69,6 @@ type Config struct {
 	// on_error query parameter.
 	OnErrorSkip bool
 
-	// Dedup selects the deduplication mode of ingest pipelines:
-	// jsi.DedupOff (the zero value), jsi.DedupOn, or jsi.DedupAuto.
-	Dedup jsi.DedupMode
-
 	// Enrich names the enrichment monoids (docs/ENRICHMENT.md) computed
 	// on every ingest: "ranges", "hll", ..., or "all". Empty disables
 	// enrichment. Requests can override it per call with the enrich
@@ -216,7 +212,6 @@ func (s *Server) ingestOptions(r *http.Request) (jsi.Options, error) {
 		Workers:    s.cfg.IngestWorkers,
 		ChunkBytes: s.cfg.ChunkBytes,
 		Retries:    s.cfg.Retries,
-		Dedup:      s.cfg.Dedup,
 	}
 	if s.cfg.OnErrorSkip {
 		opts.OnError = jsi.OnErrorSkip

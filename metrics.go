@@ -19,8 +19,9 @@ import (
 // partitioned runs reduce in any order.
 //
 // Metric names are stable and documented in docs/OBSERVABILITY.md.
-// Names ending in _ns, _permille or _per_sec depend on host timing;
-// WithoutTimings strips them, and what remains is byte-for-byte
+// Names ending in _ns, _permille or _per_sec depend on host timing, and
+// the cache counters (intern_*, *_cache_*) on scheduling;
+// WithoutTimings strips both, and what remains is byte-for-byte
 // reproducible (via MarshalJSON) across runs over the same input with
 // the same configuration.
 type Metrics struct {
@@ -106,8 +107,9 @@ func (m Metrics) Merge(other Metrics) Metrics {
 }
 
 // WithoutTimings returns a copy with every timing-dependent metric
-// (names ending in _ns, _permille or _per_sec) removed. The result is
-// deterministic for a fixed input and configuration.
+// (names ending in _ns, _permille or _per_sec) and every cache counter
+// (intern_*, *_cache_*) removed. The result is deterministic for a
+// fixed input and configuration.
 func (m Metrics) WithoutTimings() Metrics {
 	return metricsFromObs(m.toObs().WithoutTimings())
 }
@@ -120,18 +122,6 @@ func (m Metrics) WithoutTimings() Metrics {
 // internal/chaos asserts (see docs/FAULTS.md).
 func (m Metrics) WithoutFaults() Metrics {
 	return metricsFromObs(m.toObs().WithoutFaults())
-}
-
-// WithoutCache returns a copy with every cache-effectiveness metric
-// (intern_hits/intern_misses and the fuse/simplify cache counters of
-// Options.Dedup) removed. Those counters are exact on a single-worker
-// fault-free run but shift under concurrency (racing workers may
-// double-compute an entry) and under retries (re-parsed chunks
-// re-intern their types); composed with WithoutTimings, what remains
-// is identical between a dedup run and a default run over the same
-// input — the invariant the differential tests assert.
-func (m Metrics) WithoutCache() Metrics {
-	return metricsFromObs(m.toObs().WithoutCache())
 }
 
 // MarshalJSON renders the snapshot deterministically: map keys sort

@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/enrich"
 	"repro/internal/jsontext"
 	"repro/internal/pipeline"
 	"repro/internal/value"
@@ -42,9 +41,8 @@ func FromBytes(data []byte) Source { return bytesSource{data: data} }
 // FromReader is a stream of JSON values processed with constant
 // memory: values are typed and fused one at a time, never materialized
 // as a whole. Use it for inputs too large to buffer; note that
-// Stats.DistinctTypes is unavailable (zero) on this path unless
-// Options.Dedup is set, in which case it is exact. The reader is
-// consumed until EOF or error.
+// Stats.DistinctTypes is unavailable (zero) on this path. The reader
+// is consumed until EOF or error.
 func FromReader(r io.Reader) Source { return readerSource{r: r} }
 
 // FromFile is one NDJSON file processed with bounded memory: the file
@@ -68,11 +66,8 @@ func FromChunkedReader(r io.Reader) Source { return chunkedSource{r: r} }
 
 // FromFiles is a set of NDJSON files treated as partitions: each file
 // runs through the same bounded-memory chunked pipeline as FromFile
-// and the per-file schemas are fused, which by associativity equals
-// inferring the concatenation. Stats from multiple files are merged
-// with mergeStats, so Stats.DistinctTypes is only a lower bound —
-// unless Options.Dedup is set, which merges the per-file multisets by
-// identity and makes the count exact.
+// and the per-file results are merged, which by associativity equals
+// inferring the concatenation — Stats included.
 func FromFiles(paths ...string) Source {
 	return filesSource{paths: append([]string(nil), paths...)}
 }
@@ -152,6 +147,14 @@ func (s readerSource) scan(ctx context.Context, env *pipeline.Env, fn func(value
 	return scanStream(ctx, env, s.r, fn)
 }
 
+// chunkPool recycles the chunk buffers of the chunked sources across
+// runs as well as within one. A server that streams many small request
+// bodies through FromChunkedReader would otherwise allocate a fresh
+// pair of ChunkBytes-sized buffers per body, each kept reachable by its
+// own pool until the next two garbage collections. Chunk boundaries
+// depend on ChunkBytes alone, never on a recycled buffer's capacity.
+var chunkPool jsontext.ChunkPool
+
 // chunkedSource implements FromChunkedReader: the stream feeds the
 // chunked pipeline through the same bounded-memory line partitioner
 // the file sources use.
@@ -159,14 +162,13 @@ type chunkedSource struct{ r io.Reader }
 
 func (s chunkedSource) run(ctx context.Context, env *pipeline.Env) (*Schema, Stats, error) {
 	cr := &countingReader{r: s.r}
-	// Chunk buffers cycle through a pool: the feed fills one, the map
+	// Chunk buffers cycle through chunkPool: the feed fills one, the map
 	// stage decodes it, and the engine's release hook (which fires only
 	// after the chunk's final retry attempt) returns it for the next
 	// fill. A long stream allocates a handful of buffers total.
-	pool := &jsontext.ChunkPool{}
 	out, mrst, err := pipeline.RunPooled(ctx, env, func(emit func([]byte) error) error {
-		return jsontext.ChunkLinesPooled(cr, env.ChunkBytes, pool, emit)
-	}, pool.Put)
+		return jsontext.ChunkLinesPooled(cr, env.ChunkBytes, &chunkPool, emit)
+	}, chunkPool.Put)
 	if err != nil {
 		var fe *pipeline.FeedError
 		if errors.As(err, &fe) {
@@ -206,47 +208,24 @@ type filesSource struct {
 }
 
 func (s filesSource) run(ctx context.Context, env *pipeline.Env) (*Schema, Stats, error) {
-	if env.Dedup != nil {
-		// One table and one memo span all files, so per-file accumulators
-		// merge by identity: cross-file distinct counts are exact and the
-		// cross-file fusion is memoized like any other.
-		var merged pipeline.Accumulator
-		var agg Stats
-		for _, path := range s.paths {
-			out, pst, err := runFilePipeline(ctx, env, path)
-			if err != nil {
-				return nil, Stats{}, err
-			}
-			merged = pipeline.Combine(merged, out)
-			agg.Bytes += pst.Bytes
-			agg.Retries += pst.Retries
-			agg.QuarantinedChunks += pst.QuarantinedChunks
-		}
-		st, schema := typeStats(pipeline.Fold(merged))
-		st.Bytes, st.Retries, st.QuarantinedChunks = agg.Bytes, agg.Retries, agg.QuarantinedChunks
-		return schema, st, nil
-	}
-	fz := env.Fusion
-	acc := EmptySchema()
-	var total Stats
-	for i, path := range s.paths {
+	// One table and one memo span all files, so per-file accumulators
+	// merge by identity: cross-file distinct counts are exact and the
+	// cross-file fusion is memoized like any other.
+	var merged pipeline.Accumulator
+	var agg Stats
+	for _, path := range s.paths {
 		out, pst, err := runFilePipeline(ctx, env, path)
 		if err != nil {
 			return nil, Stats{}, err
 		}
-		st, schema := typeStats(pipeline.Fold(out))
-		st.Bytes, st.Retries, st.QuarantinedChunks = pst.Bytes, pst.Retries, pst.QuarantinedChunks
-		if i == 0 {
-			acc, total = schema, st
-			continue
-		}
-		// Fuse under the run's policy (not the zero policy), so the
-		// cross-file reduce preserves tuples exactly like the in-file
-		// reduce does. Enrichment lattices union alongside.
-		acc = newSchema(fz.Fuse(acc.t, schema.t)).withEnrichment(enrich.Union(acc.enr, schema.enr))
-		total = mergeStats(total, st)
+		merged = pipeline.Combine(merged, out)
+		agg.Bytes += pst.Bytes
+		agg.Retries += pst.Retries
+		agg.QuarantinedChunks += pst.QuarantinedChunks
 	}
-	return acc, total, nil
+	st, schema := typeStats(pipeline.Fold(merged))
+	st.Bytes, st.Retries, st.QuarantinedChunks = agg.Bytes, agg.Retries, agg.QuarantinedChunks
+	return schema, st, nil
 }
 
 func (s filesSource) scan(ctx context.Context, env *pipeline.Env, fn func(value.Value) error) (int64, error) {
@@ -311,10 +290,9 @@ func runFilePipeline(ctx context.Context, env *pipeline.Env, path string) (pipel
 	// Same pooled chunk lifecycle as the chunked-reader source: buffers
 	// are recycled through the pipeline's release hook, so reading a
 	// large file allocates a handful of chunk buffers, not one per chunk.
-	pool := &jsontext.ChunkPool{}
 	out, mrst, err := pipeline.RunPooled(ctx, env, func(emit func([]byte) error) error {
-		return jsontext.ChunkLinesPooled(f, env.ChunkBytes, pool, emit)
-	}, pool.Put)
+		return jsontext.ChunkLinesPooled(f, env.ChunkBytes, &chunkPool, emit)
+	}, chunkPool.Put)
 	if err != nil {
 		var fe *pipeline.FeedError
 		if errors.As(err, &fe) {
