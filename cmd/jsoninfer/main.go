@@ -15,12 +15,22 @@
 //	             enrich (the per-path enrichment report; requires -enrich)
 //	-stream      constant-memory streaming mode (single worker, no
 //	             distinct type statistics)
+//	-profile     print a statistics-annotated schema (per-path counts
+//	             and value statistics) instead of a plain one
+//	-positional  preserve fixed-length arrays positionally (tuple types)
+//	             instead of simplifying them to [T*]
 //	-workers     map-phase parallelism (default: number of CPUs)
 //	-retries     per-chunk retry budget for transient failures
 //	-on-error    fail (default) aborts on a chunk that exhausts its
 //	             retries; skip quarantines it and completes without its
 //	             records (reported on stderr)
 //	-stats       print dataset statistics to stderr
+//	-expand      list the paths and types a path expression (e.g.
+//	             $.user.*) reaches in the inferred schema
+//	-sample      print an example value conforming to the schema,
+//	             generated from this seed
+//	-abstract    abstract dictionary-like records with at least this
+//	             many keys into {*: T} (0 = off)
 //	-tagged      infer tagged unions: records discriminated by a string
 //	             field ("type", "event", "kind") or by a single
 //	             variant-named wrapper field fuse into one record type
@@ -44,8 +54,7 @@
 // cleanly between chunks.
 //
 // Every mode — files, stdin, streaming — runs through the one engine in
-// internal/pipeline (docs/ARCHITECTURE.md); the flags above only select
-// the feed and the accumulator payload.
+// internal/pipeline (docs/ARCHITECTURE.md).
 package main
 
 import (
@@ -53,6 +62,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"os/signal"
 	"strings"
@@ -199,6 +209,7 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 		schema, stats, err = jsi.Infer(ctx, jsi.FromBytes(data), opts)
 	case *stream:
 		schema = jsi.EmptySchema()
+		var sizeSum int64
 		for _, path := range fs.Args() {
 			f, oerr := os.Open(path)
 			if oerr != nil {
@@ -213,8 +224,20 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 				return fmt.Errorf("%s: %w", path, cerr)
 			}
 			schema = schema.Fuse(s)
+			if st.Records > 0 {
+				if stats.Records == 0 || st.MinTypeSize < stats.MinTypeSize {
+					stats.MinTypeSize = st.MinTypeSize
+				}
+				stats.MaxTypeSize = max(stats.MaxTypeSize, st.MaxTypeSize)
+				// The average is an integer size sum over Records, so
+				// the product recovers that sum exactly.
+				sizeSum += int64(math.Round(st.AvgTypeSize * float64(st.Records)))
+			}
 			stats.Records += st.Records
 			stats.Bytes += st.Bytes
+		}
+		if stats.Records > 0 {
+			stats.AvgTypeSize = float64(sizeSum) / float64(stats.Records)
 		}
 	default:
 		// Files are partitions of one dataset: each runs through the
@@ -236,17 +259,16 @@ func run(ctx context.Context, args []string, stdin io.Reader, stdout, stderr io.
 
 	if *showStats {
 		// The chunked pipeline merges files by type identity and stays
-		// exact; streaming over several files fuses per-file schemas
-		// without distinct-type sets, so mark the count as a bound.
-		distinct := fmt.Sprintf("distinct-types=%d", stats.DistinctTypes)
-		if *stream && fs.NArg() > 1 {
-			distinct = fmt.Sprintf("distinct-types>=%d", stats.DistinctTypes)
+		// exact; the constant-memory stream counts no distinct types.
+		distinct := ""
+		if !*stream {
+			distinct = fmt.Sprintf(" distinct-types=%d", stats.DistinctTypes)
 		}
 		faults := ""
 		if stats.Retries > 0 || stats.QuarantinedChunks > 0 {
 			faults = fmt.Sprintf(" retries=%d quarantined-chunks=%d", stats.Retries, stats.QuarantinedChunks)
 		}
-		fmt.Fprintf(stderr, "records=%d bytes=%d %s type-sizes=%d..%d avg=%.1f schema-size=%d%s\n",
+		fmt.Fprintf(stderr, "records=%d bytes=%d%s type-sizes=%d..%d avg=%.1f schema-size=%d%s\n",
 			stats.Records, stats.Bytes, distinct,
 			stats.MinTypeSize, stats.MaxTypeSize, stats.AvgTypeSize, schema.Size(), faults)
 	}

@@ -345,9 +345,11 @@ func TestDebugAddrServesLiveExpvar(t *testing.T) {
 	}
 }
 
-// TestStatsLowerBoundAcrossFiles asserts the stats line marks
-// distinct-types as a lower bound when -stream merges several files,
-// and only then.
+// TestStatsLowerBoundAcrossFiles pins the stats line over several
+// files: the chunked pipeline merges files by type identity, so its
+// distinct-types count is exact and never marked as a bound; -stream
+// counts no distinct types and prints no such field, but merges the
+// per-file type sizes into exactly the chunked run's figures.
 func TestStatsLowerBoundAcrossFiles(t *testing.T) {
 	dir := t.TempDir()
 	f1 := filepath.Join(dir, "a.ndjson")
@@ -355,23 +357,38 @@ func TestStatsLowerBoundAcrossFiles(t *testing.T) {
 	if err := os.WriteFile(f1, []byte(`{"x":1}`+"\n"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(f2, []byte(`{"y":"s"}`+"\n"), 0o600); err != nil {
+	if err := os.WriteFile(f2, []byte(`{"y":"s","z":{"w":1}}`+"\n"), 0o600); err != nil {
 		t.Fatal(err)
 	}
-	_, errOut, err := runCmd(t, []string{"-stats", "-stream", f1, f2}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(errOut, "distinct-types>=") {
-		t.Errorf("merged streaming stats should mark the lower bound: %q", errOut)
-	}
+	sizes := regexp.MustCompile(`type-sizes=\S+ avg=\S+`)
 	// The chunked pipeline merges files by type identity: exact.
-	_, errOut, err = runCmd(t, []string{"-stats", f1, f2}, "")
+	_, errOut, err := runCmd(t, []string{"-stats", f1, f2}, "")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(errOut, "distinct-types>=") || !strings.Contains(errOut, "distinct-types=2") {
 		t.Errorf("multi-file stats should be exact: %q", errOut)
+	}
+	if got := sizes.FindString(errOut); got != "type-sizes=3..7 avg=5.0" {
+		t.Errorf("chunked multi-file sizes = %q, want type-sizes=3..7 avg=5.0", got)
+	}
+	chunked := sizes.FindString(errOut)
+	_, errOut, err = runCmd(t, []string{"-stats", "-stream", f1, f2}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(errOut, "distinct-types") {
+		t.Errorf("-stream counts no distinct types but printed them: %q", errOut)
+	}
+	if got := sizes.FindString(errOut); got != chunked {
+		t.Errorf("-stream multi-file sizes = %q, want the chunked run's %q", got, chunked)
+	}
+	_, errOut, err = runCmd(t, []string{"-stats", "-stream", f2}, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sizes.FindString(errOut); got != "type-sizes=7..7 avg=7.0" {
+		t.Errorf("-stream single-file sizes = %q, want type-sizes=7..7 avg=7.0", got)
 	}
 	// A single input is exact: no marker.
 	_, errOut, err = runCmd(t, []string{"-stats", f1}, "")

@@ -23,9 +23,6 @@ type Options struct {
 	// Workers bounds the parallelism of the in-memory pipeline; zero
 	// means one worker per CPU.
 	Workers int
-	// MaxDepth bounds value nesting (protection against depth bombs);
-	// zero means the parser default (512).
-	MaxDepth int
 	// PreserveTupleArrays enables the positional array extension
 	// (Section 7 of the paper): arrays that always have the same small
 	// length keep one type per position instead of collapsing to [T*].
@@ -126,12 +123,11 @@ func (o Options) env() *pipeline.Env {
 		Fusion:     fz,
 		Workers:    o.workers(),
 		ChunkBytes: o.ChunkBytes,
-		MaxDepth:   o.MaxDepth,
 		Failure:    pol,
 		Injector:   inj,
 		Rec:        rec,
 		Progress:   progress,
-		Dedup:      pipeline.NewDedup(fz),
+		Dedup:      pipeline.NewDedup(),
 	}
 	if len(o.Enrich) > 0 {
 		// validate() already vetted the selection; an error here is
@@ -253,8 +249,6 @@ func (o Options) validate() error {
 		return fmt.Errorf("%w: Workers = %d, must be >= 0 (0 means one per CPU)", ErrInvalidOptions, o.Workers)
 	case o.ChunkBytes < 0:
 		return fmt.Errorf("%w: ChunkBytes = %d, must be >= 0 (0 means 4 MiB)", ErrInvalidOptions, o.ChunkBytes)
-	case o.MaxDepth < 0:
-		return fmt.Errorf("%w: MaxDepth = %d, must be >= 0 (0 means the parser default)", ErrInvalidOptions, o.MaxDepth)
 	case o.MaxTupleLen < 0:
 		return fmt.Errorf("%w: MaxTupleLen = %d, must be >= 0 (0 means the default of 4)", ErrInvalidOptions, o.MaxTupleLen)
 	case o.Retries < 0:
@@ -351,18 +345,13 @@ func Infer(ctx context.Context, src Source, opts Options) (*Schema, Stats, error
 		return nil, Stats{}, err
 	}
 	if _, stream := src.(readerSource); env.Rec != nil && !stream {
-		// Cache effectiveness counters of the chunked map stage. They
-		// depend on scheduling — which chunks intern is a shared,
+		// Intern-table counters of the chunked map stage. They depend
+		// on scheduling — which chunks intern is a shared,
 		// timing-dependent decision, and concurrent or retried chunks
 		// shift the hit/miss split — so WithoutTimings strips them.
 		hits, misses := env.Dedup.Tab.Stats()
 		env.Rec.Add("intern_hits", hits)
 		env.Rec.Add("intern_misses", misses)
-		fh, fm, sh, sm := env.Dedup.Memo.CacheStats()
-		env.Rec.Add("fuse_cache_hits", fh)
-		env.Rec.Add("fuse_cache_misses", fm)
-		env.Rec.Add("simplify_cache_hits", sh)
-		env.Rec.Add("simplify_cache_misses", sm)
 	}
 	if env.Rec != nil {
 		wall := time.Since(t0)

@@ -10,7 +10,8 @@ import (
 // monoid Merge/Fold methods, the lattice merge, and the cross-set
 // Union/absorb machinery — must be rooted, so a nondeterministic or
 // operand-mutating enrichment merge fails repolint, not just the
-// conformance harness.
+// conformance harness. The enrichment, fusion and pipeline packages
+// must all pass without lint:ignore suppressions.
 func TestMonoidPureRootsEnrich(t *testing.T) {
 	loader, err := NewLoader(".")
 	if err != nil {
@@ -56,5 +57,22 @@ func TestMonoidPureRootsEnrich(t *testing.T) {
 	sup, _ := collectSuppressions(pkg.Fset, pkg.Files)
 	if len(sup) > 0 {
 		t.Errorf("internal/enrich carries lint:ignore suppression(s) in %d file(s); enrichment merge paths must be clean without them", len(sup))
+	}
+
+	// The fusion kernel and the pipeline accumulators are the other
+	// merge paths of a run; they too stay clean without suppressions.
+	for _, dir := range []string{"fusion", "pipeline"} {
+		pkgs, err := loader.Load(filepath.Join(loader.root, "internal", dir))
+		if err != nil {
+			t.Fatalf("Load(internal/%s): %v", dir, err)
+		}
+		for _, d := range Check(pkgs, []*Analyzer{MonoidPure}) {
+			t.Errorf("internal/%s: %s", dir, d)
+		}
+		for _, pkg := range pkgs {
+			if sup, _ := collectSuppressions(pkg.Fset, pkg.Files); len(sup) > 0 {
+				t.Errorf("internal/%s carries lint:ignore suppression(s) in %d file(s); its merge paths must be clean without them", dir, len(sup))
+			}
+		}
 	}
 }

@@ -165,7 +165,7 @@ func RunPipelineOverNDJSON(ctx context.Context, data []byte, cfg Config) (Pipeli
 		Injector: cfg.Injector,
 		Rec:      cfg.Recorder,
 		Phases:   &ph,
-		Dedup:    pipeline.NewDedup(cfg.Fusion),
+		Dedup:    pipeline.NewDedup(),
 	}
 
 	wall0 := time.Now()

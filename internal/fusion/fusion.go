@@ -48,7 +48,7 @@ func LFuse(t1, t2 types.Type) types.Type { return policy{}.lfuse(t1, t2) }
 // element types with their fusion. The empty tuple collapses to ε, so
 // the simplified form of [] is [ε*], which denotes exactly the empty
 // array (footnote 1 of the paper).
-func Collapse(t *types.Tuple) types.Type { return policy{}.collapse(t) }
+func Collapse(t *types.Tuple) types.Type { return policy{}.collapse(t.Elems()) }
 
 // Simplify rewrites every tuple array type inside t into its simplified
 // repeated form [collapse(...)​*]. Phase one of the paper infers tuple
@@ -85,30 +85,50 @@ func FuseAllTree(ts []types.Type) types.Type {
 	}
 }
 
-// fuse implements Fuse under a policy, routing through the memo cache
-// when one is installed (see Memo). All recursive fusion goes through
-// here, so sub-fusions are memoized too.
+// fuse implements Fuse under a policy. It is copy-on-write: when one
+// operand already covers the other, that operand itself is returned,
+// pointer-equal, so the steady state of a fold over repetitive data
+// allocates nothing. Types are immutable (the typemut analyzer enforces
+// it), which is what makes sharing the operand safe.
 func (p policy) fuse(t1, t2 types.Type) types.Type {
-	if p.memo != nil {
-		return p.memo.fuse(p, t1, t2)
+	_, u1 := t1.(*types.Union)
+	_, u2 := t2.(*types.Union)
+	if !u1 && !u2 {
+		k1, ok1 := types.KindOf(t1)
+		k2, ok2 := types.KindOf(t2)
+		switch {
+		case !ok1: // ε is the identity.
+			return t2
+		case !ok2:
+			return t1
+		case k1 == k2:
+			return p.lfuse(t1, t2)
+		}
 	}
-	return p.fuseDirect(t1, t2)
-}
-
-// fuseDirect implements Fuse under a policy, with no caching.
-func (p policy) fuseDirect(t1, t2 types.Type) types.Type {
 	g1 := p.groupByKind(t1)
 	g2 := p.groupByKind(t2)
-	out := make([]types.Type, 0, 6)
-	for k := 0; k < 6; k++ {
+	var g [6]types.Type
+	for k := range g {
 		a, b := g1[k], g2[k]
 		switch {
 		case a != nil && b != nil:
-			out = append(out, p.lfuse(a, b))
+			g[k] = p.lfuse(a, b)
 		case a != nil:
+			g[k] = a
+		default:
+			g[k] = b
+		}
+	}
+	switch {
+	case sameAddends(&g, t1):
+		return t1
+	case sameAddends(&g, t2):
+		return t2
+	}
+	out := make([]types.Type, 0, len(g))
+	for _, a := range g {
+		if a != nil {
 			out = append(out, a)
-		case b != nil:
-			out = append(out, b)
 		}
 	}
 	return types.MustUnion(out...)
@@ -118,10 +138,10 @@ func (p policy) fuseDirect(t1, t2 types.Type) types.Type {
 // same-kind addends with lfuse so each bucket holds at most one type.
 func (p policy) groupByKind(t types.Type) [6]types.Type {
 	var g [6]types.Type
-	for _, u := range types.Addends(t) {
+	add := func(u types.Type) {
 		k, ok := types.KindOf(u)
 		if !ok {
-			// Addends never returns unions or ε for canonical types.
+			// Union alternatives are never unions or ε.
 			panic(fmt.Sprintf("fusion: non-canonical union addend %T", u))
 		}
 		if g[k] == nil {
@@ -130,7 +150,41 @@ func (p policy) groupByKind(t types.Type) [6]types.Type {
 			g[k] = p.lfuse(g[k], u)
 		}
 	}
+	switch tt := t.(type) {
+	case types.EmptyType:
+	case *types.Union:
+		for _, u := range tt.Alts() {
+			add(u)
+		}
+	default:
+		add(t)
+	}
 	return g
+}
+
+// sameAddends reports whether the kind buckets g hold exactly the
+// addends of t, pointer for pointer — then t is the union of g.
+func sameAddends(g *[6]types.Type, t types.Type) bool {
+	n := 0
+	for _, a := range g {
+		if a != nil {
+			n++
+		}
+	}
+	u, ok := t.(*types.Union)
+	if !ok {
+		k, isKind := types.KindOf(t)
+		return isKind && n == 1 && g[k] == t
+	}
+	if n != u.Len() {
+		return false
+	}
+	for _, a := range u.Alts() {
+		if k, _ := types.KindOf(a); g[k] != a {
+			return false
+		}
+	}
+	return true
 }
 
 // lfuse implements LFuse under a policy.
@@ -204,54 +258,125 @@ func (p policy) absorbIntoMapElem(elem types.Type, t types.Type) types.Type {
 // fuseRecords implements line 3 of Figure 6: FMatch fields fuse
 // recursively keeping the minimum cardinality (? < 1, so a field is
 // mandatory only when mandatory on both sides); FUnmatch fields become
-// optional.
+// optional. The merge output is allocated only once it stops
+// reproducing r1 or r2 field for field (until then it is a prefix of
+// that operand, which is returned when the merge ends), and then at its
+// exact final length, because the new record keeps the slice.
 func (p policy) fuseRecords(r1, r2 *types.Record) types.Type {
 	f1, f2 := r1.Fields(), r2.Fields()
-	out := make([]types.Field, 0, len(f1)+len(f2))
-	i, j := 0, 0
-	for i < len(f1) && j < len(f2) {
+	var out []types.Field
+	same1, same2 := true, true
+	n, i, j := 0, 0, 0
+	for i < len(f1) || j < len(f2) {
+		var f types.Field
 		switch {
-		case f1[i].Key == f2[j].Key:
-			out = append(out, types.Field{
+		case j == len(f2) || (i < len(f1) && f1[i].Key < f2[j].Key):
+			f = types.Field{Key: f1[i].Key, Type: f1[i].Type, Optional: true}
+			i++
+		case i == len(f1) || f2[j].Key < f1[i].Key:
+			f = types.Field{Key: f2[j].Key, Type: f2[j].Type, Optional: true}
+			j++
+		default:
+			f = types.Field{
 				Key:      f1[i].Key,
 				Type:     p.fuse(f1[i].Type, f2[j].Type),
 				Optional: f1[i].Optional || f2[j].Optional,
-			})
+			}
+			i++
+			j++
+		}
+		if out == nil {
+			prefix := f2
+			if same1 {
+				prefix = f1
+			}
+			same1 = same1 && n < len(f1) && f1[n] == f
+			same2 = same2 && n < len(f2) && f2[n] == f
+			if same1 || same2 {
+				n++
+				continue
+			}
+			out = make([]types.Field, n, n+1+mergedLen(f1[i:], f2[j:]))
+			copy(out, prefix)
+		}
+		out = append(out, f)
+	}
+	switch {
+	case out != nil:
+		// Keys are unique within each input, so the merge is sorted and
+		// cannot collide.
+		return types.RecordFromSorted(out)
+	case same1:
+		return r1
+	default:
+		return r2
+	}
+}
+
+// mergedLen counts the distinct keys of two key-sorted field lists.
+func mergedLen(f1, f2 []types.Field) int {
+	n, i, j := 0, 0, 0
+	for i < len(f1) && j < len(f2) {
+		switch {
+		case f1[i].Key == f2[j].Key:
 			i++
 			j++
 		case f1[i].Key < f2[j].Key:
-			out = append(out, types.Field{Key: f1[i].Key, Type: f1[i].Type, Optional: true})
 			i++
 		default:
-			out = append(out, types.Field{Key: f2[j].Key, Type: f2[j].Type, Optional: true})
 			j++
 		}
+		n++
 	}
-	for ; i < len(f1); i++ {
-		out = append(out, types.Field{Key: f1[i].Key, Type: f1[i].Type, Optional: true})
-	}
-	for ; j < len(f2); j++ {
-		out = append(out, types.Field{Key: f2[j].Key, Type: f2[j].Type, Optional: true})
-	}
-	// Keys are unique within each input, so the merge cannot collide.
-	return types.MustRecord(out...)
+	return n + len(f1) - i + len(f2) - j
 }
 
 // fuseArrays implements lines 4-7 of Figure 6, plus the positional
 // extension: two equal-length tuples within the policy's cutoff fuse
 // element-wise and stay positional; every other combination simplifies
-// to a repeated type over the fused body types.
+// to a repeated type over the fused body types. Like fuseRecords, it
+// returns an operand when that operand already is the result.
 func (p policy) fuseArrays(t1, t2 types.Type) types.Type {
 	a1, ok1 := t1.(*types.Tuple)
 	a2, ok2 := t2.(*types.Tuple)
 	if ok1 && ok2 && a1.Len() == a2.Len() && p.keepTuple(a1.Len()) {
-		elems := make([]types.Type, a1.Len())
-		for i := range elems {
-			elems[i] = p.fuse(a1.Elems()[i], a2.Elems()[i])
+		e1, e2 := a1.Elems(), a2.Elems()
+		var elems []types.Type
+		same1, same2 := true, true
+		for i := range e1 {
+			e := p.fuse(e1[i], e2[i])
+			if elems == nil {
+				prefix := e2
+				if same1 {
+					prefix = e1
+				}
+				same1 = same1 && e == e1[i]
+				same2 = same2 && e == e2[i]
+				if same1 || same2 {
+					continue
+				}
+				elems = make([]types.Type, len(e1))
+				copy(elems, prefix[:i])
+			}
+			elems[i] = e
 		}
-		return types.MustTuple(elems...)
+		switch {
+		case elems != nil:
+			return types.MustTuple(elems...)
+		case same1:
+			return a1
+		default:
+			return a2
+		}
 	}
-	return types.MustRepeated(p.fuse(p.body(t1), p.body(t2)))
+	body := p.fuse(p.body(t1), p.body(t2))
+	if r, ok := t1.(*types.Repeated); ok && r.Elem() == body {
+		return r
+	}
+	if r, ok := t2.(*types.Repeated); ok && r.Elem() == body {
+		return r
+	}
+	return types.MustRepeated(body)
 }
 
 // body returns the content type an array-kind type contributes to
@@ -262,16 +387,16 @@ func (p policy) body(t types.Type) types.Type {
 	case *types.Repeated:
 		return tt.Elem()
 	case *types.Tuple:
-		return p.collapse(tt)
+		return p.collapse(tt.Elems())
 	default:
 		panic(fmt.Sprintf("fusion: array body of %T", t))
 	}
 }
 
-// collapse implements lines 8-9 of Figure 6 under a policy.
-func (p policy) collapse(t *types.Tuple) types.Type {
+// collapse implements lines 8-9 of Figure 6 under a policy, over a
+// tuple's element types.
+func (p policy) collapse(elems []types.Type) types.Type {
 	acc := types.Type(types.Empty)
-	elems := t.Elems()
 	// Right fold, as in collapse(ArrT(T, AT)) = Fuse(T, collapse(AT)).
 	for i := len(elems) - 1; i >= 0; i-- {
 		acc = p.fuse(elems[i], acc)
@@ -279,68 +404,131 @@ func (p policy) collapse(t *types.Tuple) types.Type {
 	return acc
 }
 
-// simplify rewrites array types into the policy's canonical form,
-// routing through the memo cache when one is installed.
+// simplify rewrites array types into the policy's canonical form. It
+// returns t itself when no node inside it changes.
 func (p policy) simplify(t types.Type) types.Type {
-	if p.memo != nil {
-		return p.memo.simplify(p, t)
-	}
-	return p.simplifyDirect(t)
-}
-
-// simplifyDirect implements simplify with no caching.
-func (p policy) simplifyDirect(t types.Type) types.Type {
 	switch tt := t.(type) {
 	case types.Basic, types.EmptyType:
 		return t
 	case *types.Record:
 		fs := tt.Fields()
-		out := make([]types.Field, len(fs))
+		var out []types.Field
 		for i, f := range fs {
-			out[i] = types.Field{Key: f.Key, Type: p.simplify(f.Type), Optional: f.Optional}
+			s := p.simplify(f.Type)
+			if out == nil {
+				if s == f.Type {
+					continue
+				}
+				out = make([]types.Field, len(fs))
+				copy(out, fs[:i])
+			}
+			out[i] = types.Field{Key: f.Key, Type: s, Optional: f.Optional}
 		}
-		return types.MustRecord(out...)
+		if out == nil {
+			return t
+		}
+		return types.RecordFromSorted(out)
 	case *types.Tuple:
-		simplified := make([]types.Type, tt.Len())
-		for i, e := range tt.Elems() {
-			simplified[i] = p.simplify(e)
+		elems, changed := p.simplifyEach(tt.Elems())
+		switch {
+		case !p.keepTuple(tt.Len()):
+			return types.MustRepeated(p.collapse(elems))
+		case changed:
+			return types.MustTuple(elems...)
+		default:
+			return t
 		}
-		if p.keepTuple(tt.Len()) {
-			return types.MustTuple(simplified...)
-		}
-		return types.MustRepeated(p.collapse(types.MustTuple(simplified...)))
 	case *types.Map:
-		return types.MustMap(p.simplify(tt.Elem()))
+		if e := p.simplify(tt.Elem()); e != tt.Elem() {
+			return types.MustMap(e)
+		}
+		return t
 	case *types.Variants:
+		other := tt.Other()
+		if other != nil {
+			other = p.simplify(other).(*types.Record)
+		}
 		if tt.Collapsed() {
-			return types.MustCollapsedVariants(p.simplify(tt.Other()).(*types.Record))
+			if other == tt.Other() {
+				return t
+			}
+			return types.MustCollapsedVariants(other)
 		}
-		cs := make([]types.Variant, tt.Len())
-		for i, c := range tt.Cases() {
-			cs[i] = types.Variant{Tag: c.Tag, Type: p.simplify(c.Type).(*types.Record)}
+		cases := tt.Cases()
+		var cs []types.Variant
+		for i, c := range cases {
+			r := p.simplify(c.Type).(*types.Record)
+			if cs == nil {
+				if r == c.Type {
+					continue
+				}
+				cs = make([]types.Variant, len(cases))
+				copy(cs, cases[:i])
+			}
+			cs[i] = types.Variant{Tag: c.Tag, Type: r}
 		}
-		var other *types.Record
-		if tt.Other() != nil {
-			other = p.simplify(tt.Other()).(*types.Record)
+		switch {
+		case cs != nil:
+			return types.MustVariants(tt.Key(), tt.Wrapper(), cs, other)
+		case other != tt.Other():
+			return types.MustVariants(tt.Key(), tt.Wrapper(), cases, other)
+		default:
+			return t
 		}
-		return types.MustVariants(tt.Key(), tt.Wrapper(), cs, other)
 	case *types.Repeated:
-		return types.MustRepeated(p.simplify(tt.Elem()))
+		if e := p.simplify(tt.Elem()); e != tt.Elem() {
+			return types.MustRepeated(e)
+		}
+		return t
 	case *types.Union:
-		alts := tt.Alts()
-		out := make([]types.Type, len(alts))
-		for i, a := range alts {
-			out[i] = p.simplify(a)
+		alts, changed := p.simplifyEach(tt.Alts())
+		if !changed && distinctKinds(alts) {
+			return t
 		}
 		// Simplification can merge two array-kind alternatives (a tuple
 		// and a repeated type) into the same kind slot; refuse through
 		// fuse to restore normality.
 		acc := types.Type(types.Empty)
-		for _, a := range out {
+		for _, a := range alts {
 			acc = p.fuse(acc, a)
 		}
 		return acc
 	default:
 		panic(fmt.Sprintf("fusion: unknown type %T", t))
 	}
+}
+
+// simplifyEach simplifies every type of ts. It returns ts itself and
+// false when none changed, and a fresh slice and true otherwise.
+func (p policy) simplifyEach(ts []types.Type) ([]types.Type, bool) {
+	var out []types.Type
+	for i, t := range ts {
+		s := p.simplify(t)
+		if out == nil {
+			if s == t {
+				continue
+			}
+			out = make([]types.Type, len(ts))
+			copy(out, ts[:i])
+		}
+		out[i] = s
+	}
+	if out == nil {
+		return ts, false
+	}
+	return out, true
+}
+
+// distinctKinds reports whether the (non-union) types have pairwise
+// different kinds, i.e. whether their union is normal at the top.
+func distinctKinds(ts []types.Type) bool {
+	var seen [6]bool
+	for _, t := range ts {
+		k, _ := types.KindOf(t)
+		if seen[k] {
+			return false
+		}
+		seen[k] = true
+	}
+	return true
 }

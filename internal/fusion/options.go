@@ -23,7 +23,7 @@ import (
 //     precise record type per discriminator value instead of being
 //     fused into a single all-optional record.
 //
-// New policies implement this interface; params() keeps the set closed
+// New policies implement this interface; policy() keeps the set closed
 // so the fusion kernel can switch on a plain struct instead of calling
 // back into user code on every fuse (see docs/UNIONS.md for the
 // add-a-policy recipe).
@@ -31,10 +31,10 @@ type Strategy interface {
 	// Name identifies the strategy in logs, experiment reports and CLI
 	// flags.
 	Name() string
-	// params lowers the strategy to the kernel's internal knobs. The
+	// policy lowers the strategy to the kernel's internal knobs. The
 	// unexported method closes the interface: policies live here, next
 	// to the algebra their proofs depend on.
-	params() params
+	policy() policy
 }
 
 // Paper is the paper's exact fusion algorithm (the zero Options).
@@ -43,7 +43,7 @@ type Paper struct{}
 // Name implements Strategy.
 func (Paper) Name() string { return "paper" }
 
-func (Paper) params() params { return params{} }
+func (Paper) policy() policy { return policy{} }
 
 // Tuples preserves equal-length positional array types: arrays of the
 // same length fuse element-wise instead of being simplified away, so
@@ -61,12 +61,12 @@ type Tuples struct {
 // Name implements Strategy.
 func (Tuples) Name() string { return "tuples" }
 
-func (s Tuples) params() params {
+func (s Tuples) policy() policy {
 	n := s.MaxLen
 	if n <= 0 {
 		n = DefaultMaxTupleLen
 	}
-	return params{maxTuple: n}
+	return policy{maxTuple: n}
 }
 
 // Tagged infers tagged unions: during phase one, records carrying a
@@ -101,10 +101,10 @@ func (s Tagged) Name() string {
 	return "tagged+" + s.Inner.Name()
 }
 
-func (s Tagged) params() params {
-	var par params
+func (s Tagged) policy() policy {
+	var par policy
 	if s.Inner != nil {
-		par = s.Inner.params()
+		par = s.Inner.policy()
 	}
 	par.tagged = true
 	par.tagKeys = s.Keys
@@ -174,23 +174,23 @@ type Options struct {
 	Strategy Strategy
 }
 
-func (o Options) params() params {
+func (o Options) policy() policy {
 	if o.Strategy == nil {
-		return params{}
+		return policy{}
 	}
-	return o.Strategy.params()
+	return o.Strategy.policy()
 }
 
 // Fuse merges two types under this policy; with the zero Options it is
 // exactly the package-level Fuse.
 func (o Options) Fuse(t1, t2 types.Type) types.Type {
-	return policy{par: o.params()}.fuse(t1, t2)
+	return o.policy().fuse(t1, t2)
 }
 
 // FuseAll folds Fuse over ts from the left (ε for an empty slice).
 func (o Options) FuseAll(ts []types.Type) types.Type {
 	acc := types.Type(types.Empty)
-	p := policy{par: o.params()}
+	p := o.policy()
 	for _, t := range ts {
 		acc = p.fuse(acc, t)
 	}
@@ -202,7 +202,7 @@ func (o Options) FuseAll(ts []types.Type) types.Type {
 // become repeated types; preserved tuples keep their positions with
 // each element simplified recursively.
 func (o Options) Simplify(t types.Type) types.Type {
-	return policy{par: o.params()}.simplify(t)
+	return o.policy().simplify(t)
 }
 
 // Finalize lowers the intermediate variants states a tagged fusion
@@ -215,14 +215,14 @@ func (o Options) Finalize(t types.Type) types.Type {
 	if !hasVariants(t) {
 		return t
 	}
-	return policy{par: o.params()}.finalize(t)
+	return o.policy().finalize(t)
 }
 
-// params is the internal, closed representation of a Strategy: the
+// policy is the internal, closed representation of a Strategy: the
 // knobs the fusion kernel actually switches on. maxTuple == 0 means
 // the paper's always-simplify behaviour; tagged enables the variants
-// merge rules.
-type params struct {
+// merge rules. The zero policy is the paper's algorithm.
+type policy struct {
 	maxTuple    int
 	tagged      bool
 	tagKeys     []string
@@ -230,13 +230,5 @@ type params struct {
 	maxTagLen   int
 }
 
-// policy pairs the kernel knobs with an optional memo. A non-nil memo
-// routes fuse and simplify through its caches (see memo.go); the zero
-// policy is the paper's direct algorithm.
-type policy struct {
-	par  params
-	memo *Memo
-}
-
 // keepTuple reports whether a tuple of length n stays positional.
-func (p policy) keepTuple(n int) bool { return n > 0 && n <= p.par.maxTuple }
+func (p policy) keepTuple(n int) bool { return n > 0 && n <= p.maxTuple }

@@ -19,8 +19,8 @@ import (
 // default when a variants type is fused under a policy that never
 // produces one (parsed or persisted types fed back through Fuse).
 func (p policy) variantsCap() int {
-	if p.par.maxVariants > 0 {
-		return p.par.maxVariants
+	if p.maxVariants > 0 {
+		return p.maxVariants
 	}
 	return DefaultMaxVariants
 }
@@ -223,7 +223,7 @@ type Promoter struct {
 // Promoter returns the phase-one promoter for the options' strategy,
 // or nil when the strategy does not infer tagged unions.
 func (o Options) Promoter() *Promoter {
-	par := o.params()
+	par := o.policy()
 	if !par.tagged {
 		return nil
 	}

@@ -85,33 +85,47 @@ func randomPromoted(r *rand.Rand) types.Type {
 	}
 }
 
+// fusionSubject is the monoidtest subject of fusion under o: elements
+// are fusions of simplified phase-one types drawn by gen, the way the
+// pipeline accumulators build them. Fingerprints are the canonical
+// renderings, and the wire codec round-trips every element.
+func fusionSubject(name string, o Options, gen func(r *rand.Rand) types.Type) monoidtest.Subject {
+	return monoidtest.Subject{
+		Name:  name,
+		Empty: func() any { return types.Type(types.Empty) },
+		Rand: func(r *rand.Rand) any {
+			acc := o.Simplify(gen(r))
+			for i := 0; i < r.Intn(3); i++ {
+				acc = o.Fuse(acc, o.Simplify(gen(r)))
+			}
+			return acc
+		},
+		Merge:       func(a, b any) any { return o.Fuse(a.(types.Type), b.(types.Type)) },
+		Fingerprint: func(x any) string { return x.(types.Type).String() },
+		Marshal:     func(x any) ([]byte, error) { return types.MarshalJSON(x.(types.Type)) },
+		Unmarshal:   func(data []byte) (any, error) { return types.UnmarshalJSON(data) },
+	}
+}
+
 // TestTaggedMonoidConformance runs the repository-wide commutative
 // monoid harness over the tagged fusion policies: the default knobs, a
 // cap of two (so the collapse-to-paper path fires on nearly every
 // random merge tree), and the composition with the positional
-// extension. Fingerprints are the canonical renderings, and the wire
-// codec exercises the variants round-trip on every element.
+// extension. The variants round-trip through the codec on every
+// element.
 func TestTaggedMonoidConformance(t *testing.T) {
-	subject := func(name string, o Options) monoidtest.Subject {
-		return monoidtest.Subject{
-			Name:  name,
-			Empty: func() any { return types.Type(types.Empty) },
-			Rand: func(r *rand.Rand) any {
-				acc := o.Simplify(randomPromoted(r))
-				for i := 0; i < r.Intn(3); i++ {
-					acc = o.Fuse(acc, o.Simplify(randomPromoted(r)))
-				}
-				return acc
-			},
-			Merge:       func(a, b any) any { return o.Fuse(a.(types.Type), b.(types.Type)) },
-			Fingerprint: func(x any) string { return x.(types.Type).String() },
-			Marshal:     func(x any) ([]byte, error) { return types.MarshalJSON(x.(types.Type)) },
-			Unmarshal:   func(data []byte) (any, error) { return types.UnmarshalJSON(data) },
-		}
-	}
-	monoidtest.Run(t, subject("fusion.Tagged", tagged))
-	monoidtest.Run(t, subject("fusion.Tagged(cap=2)", Options{Strategy: Tagged{MaxVariants: 2}}))
-	monoidtest.Run(t, subject("fusion.Tagged+Tuples", Options{Strategy: Tagged{Inner: Tuples{}}}))
+	monoidtest.Run(t, fusionSubject("fusion.Tagged", tagged, randomPromoted))
+	monoidtest.Run(t, fusionSubject("fusion.Tagged(cap=2)", Options{Strategy: Tagged{MaxVariants: 2}}, randomPromoted))
+	monoidtest.Run(t, fusionSubject("fusion.Tagged+Tuples", Options{Strategy: Tagged{Inner: Tuples{}}}, randomPromoted))
+}
+
+// TestMonoidConformance runs the same harness over the paper's
+// algorithm and the positional extension, on inferred types of random
+// values of every kind.
+func TestMonoidConformance(t *testing.T) {
+	gen := func(r *rand.Rand) types.Type { return infer.Infer(randomValueR(r, 2)) }
+	monoidtest.Run(t, fusionSubject("fusion.Paper", Options{Strategy: Paper{}}, gen))
+	monoidtest.Run(t, fusionSubject("fusion.Tuples", Options{Strategy: Tuples{}}, gen))
 }
 
 // randomTaggedType builds elements the way the pipeline accumulators

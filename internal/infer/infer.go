@@ -102,8 +102,7 @@ type Promoter interface {
 // Decoder infers one type per top-level JSON value read from an input
 // stream, without building intermediate value trees.
 type Decoder struct {
-	lex  *jsontext.Lexer
-	opts jsontext.Options
+	lex *jsontext.Lexer
 
 	// tab, when set, hash-conses every inferred node so Next returns the
 	// canonical representative of each distinct type (see SetInterner).
@@ -129,10 +128,10 @@ type Decoder struct {
 // NewDecoder returns a streaming type decoder for r. The decoder draws
 // its lexer from a pool; call Release when done with the stream to
 // recycle it (failing to is safe, just slower).
-func NewDecoder(r io.Reader, opts jsontext.Options) *Decoder {
+func NewDecoder(r io.Reader) *Decoder {
 	lex := jsontext.AcquireLexer(r)
 	lex.RawStrings(true)
-	return &Decoder{lex: lex, opts: opts}
+	return &Decoder{lex: lex}
 }
 
 // NewBytesDecoder returns a streaming type decoder reading directly
@@ -141,10 +140,10 @@ func NewDecoder(r io.Reader, opts jsontext.Options) *Decoder {
 // object keys are materialized through the lexer's intern cache (free
 // after first occurrence) and value strings are never materialized at
 // all unless an Observer is attached.
-func NewBytesDecoder(data []byte, opts jsontext.Options) *Decoder {
+func NewBytesDecoder(data []byte) *Decoder {
 	lex := jsontext.AcquireLexerBytes(data)
 	lex.RawStrings(true)
-	return &Decoder{lex: lex, opts: opts}
+	return &Decoder{lex: lex}
 }
 
 // Release returns the decoder's pooled resources. The decoder must not
@@ -196,20 +195,13 @@ func (d *Decoder) Next() (types.Type, error) {
 // Offset returns the number of input bytes consumed so far.
 func (d *Decoder) Offset() int64 { return d.lex.Offset() }
 
-func (d *Decoder) maxDepth() int {
-	if d.opts.MaxDepth <= 0 {
-		return jsontext.DefaultMaxDepth
-	}
-	return d.opts.MaxDepth
-}
-
 func (d *Decoder) syntaxErr(off int64, format string, args ...any) error {
 	return &jsontext.SyntaxError{Offset: off, Msg: fmt.Sprintf(format, args...)}
 }
 
 func (d *Decoder) inferValue(tok jsontext.Token, depth int) (types.Type, error) {
-	if depth > d.maxDepth() {
-		return nil, d.syntaxErr(tok.Offset, "nesting deeper than %d", d.maxDepth())
+	if depth > jsontext.DefaultMaxDepth {
+		return nil, d.syntaxErr(tok.Offset, "nesting deeper than %d", jsontext.DefaultMaxDepth)
 	}
 	switch tok.Kind {
 	case jsontext.TokNull:
@@ -468,7 +460,7 @@ func InferAllObserved(data []byte, obs Observer) ([]types.Type, error) {
 // may be nil) — the fully optioned map stage.
 func InferAllWith(data []byte, obs Observer, pr Promoter) ([]types.Type, error) {
 	var ts []types.Type
-	d := NewBytesDecoder(data, jsontext.Options{})
+	d := NewBytesDecoder(data)
 	defer d.Release()
 	if obs != nil {
 		d.SetObserver(obs)

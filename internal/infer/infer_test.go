@@ -142,8 +142,8 @@ func TestDecoderMatchesInfer(t *testing.T) {
 [1, 2, [3]]
 "scalar"
 {}`
-	d := NewDecoder(strings.NewReader(src), jsontext.Options{})
-	p := jsontext.NewParser(strings.NewReader(src), jsontext.Options{})
+	d := NewDecoder(strings.NewReader(src))
+	p := jsontext.NewParser(strings.NewReader(src))
 	n := 0
 	for {
 		st, serr := d.Next()
@@ -175,7 +175,7 @@ func TestDecoderErrors(t *testing.T) {
 		`}`,
 	}
 	for _, src := range bad {
-		d := NewDecoder(strings.NewReader(src), jsontext.Options{})
+		d := NewDecoder(strings.NewReader(src))
 		if tt, err := d.Next(); err == nil {
 			t.Errorf("Decoder accepted %q as %s", src, tt)
 		}
@@ -183,14 +183,15 @@ func TestDecoderErrors(t *testing.T) {
 }
 
 func TestDecoderMaxDepth(t *testing.T) {
-	deep := strings.Repeat(`{"a":`, 50) + "1" + strings.Repeat("}", 50)
-	d := NewDecoder(strings.NewReader(deep), jsontext.Options{MaxDepth: 10})
+	// nested(d) puts its innermost value at nesting depth d.
+	nested := func(d int) string { return strings.Repeat(`{"a":`, d) + "1" + strings.Repeat("}", d) }
+	d := NewDecoder(strings.NewReader(nested(jsontext.DefaultMaxDepth + 1)))
 	if _, err := d.Next(); err == nil {
-		t.Error("depth 50 accepted with MaxDepth 10")
+		t.Errorf("depth %d accepted", jsontext.DefaultMaxDepth+1)
 	}
-	d = NewDecoder(strings.NewReader(deep), jsontext.Options{})
+	d = NewDecoder(strings.NewReader(nested(jsontext.DefaultMaxDepth)))
 	if _, err := d.Next(); err != nil {
-		t.Errorf("depth 50 rejected with default MaxDepth: %v", err)
+		t.Errorf("depth %d rejected: %v", jsontext.DefaultMaxDepth, err)
 	}
 }
 
@@ -211,7 +212,7 @@ func TestInferAll(t *testing.T) {
 }
 
 func TestDecoderOffsetAdvances(t *testing.T) {
-	d := NewDecoder(strings.NewReader(`{"a":1} {"b":2}`), jsontext.Options{})
+	d := NewDecoder(strings.NewReader(`{"a":1} {"b":2}`))
 	if _, err := d.Next(); err != nil {
 		t.Fatal(err)
 	}

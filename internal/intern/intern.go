@@ -114,111 +114,35 @@ func (tb *Table) Ref(t types.Type) (Ref, bool) {
 	return Ref{Type: e.t, ID: e.id, Size: e.size}, true
 }
 
-// Canon returns the canonical representative of t, interning every node
-// of t bottom-up. If t is already canonical it is returned unchanged
-// (one map lookup); otherwise equal subtrees collapse onto their
-// representatives and only genuinely new shapes allocate entries.
+// Canon returns the canonical representative of t, whose children must
+// already be canonical in this table (leaves have none). If t is
+// already canonical it is returned unchanged; on a miss t itself
+// becomes the representative, so callers must pass freshly built (or
+// otherwise owned) nodes. Only the kinds the decoder produces intern:
+// ε, basic types, records, tuples and variants. Canon panics on a
+// non-canonical child or any other kind.
 func (tb *Table) Canon(t types.Type) types.Type {
 	tb.mu.RLock()
-	_, ok := tb.byNode[t]
-	tb.mu.RUnlock()
-	if ok {
+	if _, ok := tb.byNode[t]; ok {
+		tb.mu.RUnlock()
 		tb.hits.Add(1)
 		return t
 	}
-	switch tt := t.(type) {
-	case types.Basic, types.EmptyType:
-		return tb.internShallow(t)
-	case *types.Record:
-		fs := tt.Fields()
-		out := make([]types.Field, len(fs))
-		changed := false
-		for i, f := range fs {
-			ct := tb.Canon(f.Type)
-			out[i] = types.Field{Key: f.Key, Type: ct, Optional: f.Optional}
-			if ct != f.Type {
-				changed = true
+	h, size, ok := tb.shallowMetaLocked(t)
+	if ok {
+		for _, cand := range tb.byHash[h] {
+			if shallowEqual(cand.t, t) {
+				tb.mu.RUnlock()
+				tb.hits.Add(1)
+				return cand.t
 			}
 		}
-		if !changed {
-			return tb.internShallow(t)
-		}
-		return tb.InternRecord(out)
-	case *types.Map:
-		ce := tb.Canon(tt.Elem())
-		if ce == tt.Elem() {
-			return tb.internShallow(t)
-		}
-		return tb.internShallow(types.MustMap(ce))
-	case *types.Tuple:
-		es := tt.Elems()
-		out := make([]types.Type, len(es))
-		changed := false
-		for i, e := range es {
-			out[i] = tb.Canon(e)
-			if out[i] != e {
-				changed = true
-			}
-		}
-		if !changed {
-			return tb.internShallow(t)
-		}
-		return tb.InternTuple(out)
-	case *types.Variants:
-		if tt.Collapsed() {
-			co := tb.Canon(tt.Other()).(*types.Record)
-			if co == tt.Other() {
-				return tb.internShallow(t)
-			}
-			return tb.internShallow(types.MustCollapsedVariants(co))
-		}
-		cs := tt.Cases()
-		out := make([]types.Variant, len(cs))
-		changed := false
-		for i, c := range cs {
-			ct := tb.Canon(c.Type).(*types.Record)
-			out[i] = types.Variant{Tag: c.Tag, Type: ct}
-			if ct != c.Type {
-				changed = true
-			}
-		}
-		var other *types.Record
-		if tt.Other() != nil {
-			other = tb.Canon(tt.Other()).(*types.Record)
-			if other != tt.Other() {
-				changed = true
-			}
-		}
-		if !changed {
-			return tb.internShallow(t)
-		}
-		return tb.internShallow(types.MustVariants(tt.Key(), tt.Wrapper(), out, other))
-	case *types.Repeated:
-		ce := tb.Canon(tt.Elem())
-		if ce == tt.Elem() {
-			return tb.internShallow(t)
-		}
-		return tb.internShallow(types.MustRepeated(ce))
-	case *types.Union:
-		alts := tt.Alts()
-		out := make([]types.Type, len(alts))
-		changed := false
-		for i, a := range alts {
-			out[i] = tb.Canon(a)
-			if out[i] != a {
-				changed = true
-			}
-		}
-		if !changed {
-			return tb.internShallow(t)
-		}
-		// The canonicalized alternatives are structurally unchanged, so
-		// MustUnion re-sorts them into the same order and the result
-		// stays a union of the same arity.
-		return tb.internShallow(types.MustUnion(out...))
-	default:
-		panic(fmt.Sprintf("intern: unknown type %T", t))
 	}
+	tb.mu.RUnlock()
+	if !ok {
+		panic("intern: Canon on a node with non-canonical children")
+	}
+	return tb.insert(t, h, size)
 }
 
 // InternRecord interns the record type with the given fields, probing
@@ -266,28 +190,6 @@ func (tb *Table) InternTuple(elems []types.Type) types.Type {
 	return tb.insert(types.MustTuple(elems...), h, size)
 }
 
-// internShallow interns a node whose children are already canonical in
-// this table. On a miss the node itself becomes the representative, so
-// callers must pass freshly built (or otherwise owned) nodes.
-func (tb *Table) internShallow(t types.Type) types.Type {
-	tb.mu.RLock()
-	h, size, ok := tb.shallowMetaLocked(t)
-	if ok {
-		for _, cand := range tb.byHash[h] {
-			if shallowEqual(cand.t, t) {
-				tb.mu.RUnlock()
-				tb.hits.Add(1)
-				return cand.t
-			}
-		}
-	}
-	tb.mu.RUnlock()
-	if !ok {
-		panic("intern: internShallow on a node with non-canonical children")
-	}
-	return tb.insert(t, h, size)
-}
-
 // insert adds t as a new representative, re-probing under the write
 // lock so a racing equal insert yields one winner. The loser's node is
 // discarded and counted as a hit.
@@ -322,10 +224,7 @@ const (
 	tagEmpty byte = iota + 1
 	tagBasic
 	tagRecord
-	tagMap
 	tagTuple
-	tagRepeated
-	tagUnion
 	tagVariants
 )
 
@@ -358,12 +257,6 @@ func (tb *Table) shallowMetaLocked(t types.Type) (h uint64, size int, ok bool) {
 		return mixByte(mixByte(fnvOffset, tagBasic), byte(tt)), 1, true
 	case *types.Record:
 		return tb.recordMetaLocked(tt.Fields())
-	case *types.Map:
-		e, ok := tb.childLocked(tt.Elem())
-		if !ok {
-			return 0, 0, false
-		}
-		return mixWord(mixByte(fnvOffset, tagMap), e.hash), 2 + e.size, true
 	case *types.Tuple:
 		return tb.tupleMetaLocked(tt.Elems())
 	case *types.Variants:
@@ -395,27 +288,8 @@ func (tb *Table) shallowMetaLocked(t types.Type) (h uint64, size int, ok bool) {
 			size += 1 + e.size
 		}
 		return h, size, true
-	case *types.Repeated:
-		e, ok := tb.childLocked(tt.Elem())
-		if !ok {
-			return 0, 0, false
-		}
-		return mixWord(mixByte(fnvOffset, tagRepeated), e.hash), 1 + e.size, true
-	case *types.Union:
-		alts := tt.Alts()
-		h = mixByte(fnvOffset, tagUnion)
-		size = len(alts) - 1
-		for _, a := range alts {
-			e, ok := tb.childLocked(a)
-			if !ok {
-				return 0, 0, false
-			}
-			h = mixWord(h, e.hash)
-			size += e.size
-		}
-		return h, size, true
 	default:
-		panic(fmt.Sprintf("intern: unknown type %T", t))
+		panic(fmt.Sprintf("intern: cannot intern %T", t))
 	}
 }
 
@@ -470,9 +344,6 @@ func shallowEqual(a, b types.Type) bool {
 	case *types.Record:
 		bt, ok := b.(*types.Record)
 		return ok && recordEqualFields(at, bt.Fields())
-	case *types.Map:
-		bt, ok := b.(*types.Map)
-		return ok && at.Elem() == bt.Elem()
 	case *types.Tuple:
 		bt, ok := b.(*types.Tuple)
 		return ok && tupleEqualElems(at, bt.Elems())
@@ -489,23 +360,8 @@ func shallowEqual(a, b types.Type) bool {
 			}
 		}
 		return true
-	case *types.Repeated:
-		bt, ok := b.(*types.Repeated)
-		return ok && at.Elem() == bt.Elem()
-	case *types.Union:
-		bt, ok := b.(*types.Union)
-		if !ok || at.Len() != bt.Len() {
-			return false
-		}
-		ba := bt.Alts()
-		for i, alt := range at.Alts() {
-			if alt != ba[i] {
-				return false
-			}
-		}
-		return true
 	default:
-		panic(fmt.Sprintf("intern: unknown type %T", a))
+		panic(fmt.Sprintf("intern: cannot intern %T", a))
 	}
 }
 

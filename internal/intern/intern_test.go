@@ -33,10 +33,10 @@ func (r *rng) key() string {
 }
 
 // randomType builds a bounded random type covering every node kind the
-// table must canonicalize, including maps and (possibly non-normal)
-// unions — Canon must handle anything types.Type can represent.
+// table interns — the kinds the decoder produces: basic types, records,
+// tuples and keyed, wrapper and collapsed variants.
 func randomType(r *rng, depth int) types.Type {
-	max := 9
+	max := 8
 	if depth <= 0 {
 		max = 4
 	}
@@ -50,18 +50,7 @@ func randomType(r *rng, depth int) types.Type {
 	case 3:
 		return types.Str
 	case 4:
-		n := r.intn(4)
-		var fs []types.Field
-		seen := map[string]bool{}
-		for i := 0; i < n; i++ {
-			k := r.key()
-			if seen[k] {
-				continue
-			}
-			seen[k] = true
-			fs = append(fs, types.Field{Key: k, Type: randomType(r, depth-1), Optional: r.intn(2) == 0})
-		}
-		return types.MustRecord(fs...)
+		return randomRecord(r, depth)
 	case 5:
 		n := r.intn(3)
 		es := make([]types.Type, n)
@@ -70,16 +59,66 @@ func randomType(r *rng, depth int) types.Type {
 		}
 		return types.MustTuple(es...)
 	case 6:
-		return types.MustRepeated(randomType(r, depth-1))
-	case 7:
-		return types.MustMap(randomType(r, depth-1))
-	default:
-		n := 2 + r.intn(2)
-		as := make([]types.Type, n)
-		for i := range as {
-			as[i] = randomType(r, depth-1)
+		var other *types.Record
+		if r.intn(2) == 0 {
+			other = randomRecord(r, depth)
 		}
-		return types.MustUnion(as...)
+		tag := []string{"push", "fork"}[r.intn(2)]
+		if r.intn(2) == 0 {
+			return types.MustVariants("type", false, []types.Variant{{Tag: tag, Type: randomRecord(r, depth)}}, other)
+		}
+		return types.MustVariants("", true, []types.Variant{{Tag: tag, Type: randomRecord(r, depth)}}, other)
+	default:
+		return types.MustCollapsedVariants(randomRecord(r, depth))
+	}
+}
+
+func randomRecord(r *rng, depth int) *types.Record {
+	n := r.intn(4)
+	var fs []types.Field
+	seen := map[string]bool{}
+	for i := 0; i < n; i++ {
+		k := r.key()
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		fs = append(fs, types.Field{Key: k, Type: randomType(r, depth-1), Optional: r.intn(2) == 0})
+	}
+	return types.MustRecord(fs...)
+}
+
+// canon interns t bottom-up the way the decoder builds types: every
+// child first, then the node over its canonical children.
+func canon(tab *intern.Table, t types.Type) types.Type {
+	switch tt := t.(type) {
+	case *types.Record:
+		fs := make([]types.Field, tt.Len())
+		for i, f := range tt.Fields() {
+			fs[i] = types.Field{Key: f.Key, Type: canon(tab, f.Type), Optional: f.Optional}
+		}
+		return tab.InternRecord(fs)
+	case *types.Tuple:
+		es := make([]types.Type, tt.Len())
+		for i, e := range tt.Elems() {
+			es[i] = canon(tab, e)
+		}
+		return tab.InternTuple(es)
+	case *types.Variants:
+		var other *types.Record
+		if tt.Other() != nil {
+			other = canon(tab, tt.Other()).(*types.Record)
+		}
+		if tt.Collapsed() {
+			return tab.Canon(types.MustCollapsedVariants(other))
+		}
+		cs := make([]types.Variant, tt.Len())
+		for i, c := range tt.Cases() {
+			cs[i] = types.Variant{Tag: c.Tag, Type: canon(tab, c.Type).(*types.Record)}
+		}
+		return tab.Canon(types.MustVariants(tt.Key(), tt.Wrapper(), cs, other))
+	default:
+		return tab.Canon(t)
 	}
 }
 
@@ -92,7 +131,7 @@ func TestCanonAgreesWithEqual(t *testing.T) {
 	f := func(seed1, seed2 uint64) bool {
 		a := randomType(&rng{s: seed1 | 1}, 3)
 		b := randomType(&rng{s: seed2 | 1}, 3)
-		ca, cb := tab.Canon(a), tab.Canon(b)
+		ca, cb := canon(tab, a), canon(tab, b)
 		if !types.Equal(a, ca) || !types.Equal(b, cb) {
 			return false
 		}
@@ -122,7 +161,7 @@ func TestCanonIdempotent(t *testing.T) {
 	tab := intern.NewTable()
 	r := &rng{s: 42}
 	for i := 0; i < 200; i++ {
-		c := tab.Canon(randomType(r, 3))
+		c := canon(tab, randomType(r, 3))
 		n := tab.Len()
 		if again := tab.Canon(c); again != c {
 			t.Fatalf("Canon(Canon(t)) returned a different node for %s", c)
@@ -155,6 +194,30 @@ func TestRefOnlyKnowsRepresentatives(t *testing.T) {
 	}
 }
 
+// TestCanonIsShallow: Canon interns one node over canonical children
+// and refuses anything else — a child that is not a representative, or
+// a kind the decoder never produces.
+func TestCanonIsShallow(t *testing.T) {
+	tab := intern.NewTable()
+	inner := types.MustRecord(types.Field{Key: "a", Type: types.Num})
+	for _, typ := range []types.Type{
+		types.MustRecord(types.Field{Key: "r", Type: inner}),
+		types.MustTuple(inner),
+		types.MustRepeated(types.Num),
+		types.MustMap(types.Num),
+		types.MustUnion(types.Num, types.Str),
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Canon(%s) did not panic", typ)
+				}
+			}()
+			tab.Canon(typ)
+		}()
+	}
+}
+
 // TestDeterministicCounters: on a single-threaded run, misses count
 // exactly the distinct types inserted after seeding (Len minus the six
 // pre-seeded leaves), which is what makes intern_misses an exact
@@ -164,7 +227,7 @@ func TestDeterministicCounters(t *testing.T) {
 	seeded := tab.Len()
 	r := &rng{s: 7}
 	for i := 0; i < 300; i++ {
-		tab.Canon(randomType(r, 3))
+		canon(tab, randomType(r, 3))
 	}
 	_, misses := tab.Stats()
 	if want := int64(tab.Len() - seeded); misses != want {
@@ -188,7 +251,7 @@ func TestConcurrentIntern(t *testing.T) {
 			// Same seed stride across workers → heavy overlap.
 			r := &rng{s: uint64(1 + w%2)}
 			for i := 0; i < 200; i++ {
-				reps[w] = append(reps[w], tab.Canon(randomType(r, 3)))
+				reps[w] = append(reps[w], canon(tab, randomType(r, 3)))
 			}
 		}()
 	}
@@ -208,7 +271,7 @@ func TestConcurrentIntern(t *testing.T) {
 
 func mustRef(t *testing.T, tab *intern.Table, typ types.Type) intern.Ref {
 	t.Helper()
-	r, ok := tab.Ref(tab.Canon(typ))
+	r, ok := tab.Ref(canon(tab, typ))
 	if !ok {
 		t.Fatalf("no ref for %s", typ)
 	}

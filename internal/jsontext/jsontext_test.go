@@ -150,14 +150,15 @@ func TestDuplicateKeyErrorNamesKey(t *testing.T) {
 }
 
 func TestMaxDepth(t *testing.T) {
-	deep := strings.Repeat("[", 100) + strings.Repeat("]", 100)
-	p := NewParser(strings.NewReader(deep), Options{MaxDepth: 10})
+	// nested(d) puts its innermost value at nesting depth d.
+	nested := func(d int) string { return strings.Repeat("[", d) + "1" + strings.Repeat("]", d) }
+	p := NewParser(strings.NewReader(nested(DefaultMaxDepth + 1)))
 	if _, err := p.Next(); err == nil {
-		t.Error("depth 100 accepted with MaxDepth 10")
+		t.Errorf("depth %d accepted", DefaultMaxDepth+1)
 	}
-	p = NewParser(strings.NewReader(deep), Options{MaxDepth: 200})
+	p = NewParser(strings.NewReader(nested(DefaultMaxDepth)))
 	if _, err := p.Next(); err != nil {
-		t.Errorf("depth 100 rejected with MaxDepth 200: %v", err)
+		t.Errorf("depth %d rejected: %v", DefaultMaxDepth, err)
 	}
 	// Default guards against pathological nesting.
 	bomb := strings.Repeat("[", 10000) + strings.Repeat("]", 10000)
@@ -168,7 +169,7 @@ func TestMaxDepth(t *testing.T) {
 
 func TestStreamMultipleValues(t *testing.T) {
 	src := "{\"a\":1}\n{\"a\":2}\n[3]\n\"four\"\ntrue\n"
-	p := NewParser(strings.NewReader(src), Options{})
+	p := NewParser(strings.NewReader(src))
 	var got []value.Value
 	for {
 		v, err := p.Next()
@@ -201,7 +202,7 @@ func TestStreamConcatenatedWithoutNewlines(t *testing.T) {
 
 func TestStreamErrorMidway(t *testing.T) {
 	src := "{\"a\":1}\n{\"bad\n"
-	p := NewParser(strings.NewReader(src), Options{})
+	p := NewParser(strings.NewReader(src))
 	if _, err := p.Next(); err != nil {
 		t.Fatalf("first value: %v", err)
 	}
@@ -212,7 +213,7 @@ func TestStreamErrorMidway(t *testing.T) {
 
 func TestScanValuesPropagatesCallbackError(t *testing.T) {
 	sentinel := errors.New("stop")
-	err := ScanValues(strings.NewReader("1 2 3"), Options{}, func(v value.Value) error {
+	err := ScanValues(strings.NewReader("1 2 3"), func(v value.Value) error {
 		if value.Equal(v, value.Num(2)) {
 			return sentinel
 		}

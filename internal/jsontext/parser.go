@@ -12,36 +12,22 @@ import (
 // far above anything in the paper's datasets (max nesting 7).
 const DefaultMaxDepth = 512
 
-// Options configure parsing.
-type Options struct {
-	// MaxDepth bounds the nesting depth of parsed values; zero means
-	// DefaultMaxDepth.
-	MaxDepth int
-}
-
-func (o Options) maxDepth() int {
-	if o.MaxDepth <= 0 {
-		return DefaultMaxDepth
-	}
-	return o.MaxDepth
-}
-
-// Parser builds value.Value trees from a token stream.
+// Parser builds value.Value trees from a token stream. Values nested
+// deeper than DefaultMaxDepth are rejected.
 type Parser struct {
-	lex  *Lexer
-	opts Options
+	lex *Lexer
 }
 
 // NewParser returns a parser reading one or more whitespace-separated
 // JSON values from r.
-func NewParser(r io.Reader, opts Options) *Parser {
-	return &Parser{lex: NewLexer(r), opts: opts}
+func NewParser(r io.Reader) *Parser {
+	return &Parser{lex: NewLexer(r)}
 }
 
 // ParseBytes parses a single JSON value from data, requiring that
 // nothing but whitespace follows it.
 func ParseBytes(data []byte) (value.Value, error) {
-	p := NewParser(bytes.NewReader(data), Options{})
+	p := NewParser(bytes.NewReader(data))
 	v, err := p.Next()
 	if err != nil {
 		return nil, err
@@ -70,8 +56,8 @@ func (p *Parser) Next() (value.Value, error) {
 func (p *Parser) Offset() int64 { return p.lex.Offset() }
 
 func (p *Parser) parseValue(tok Token, depth int) (value.Value, error) {
-	if depth > p.opts.maxDepth() {
-		return nil, &SyntaxError{Offset: tok.Offset, Msg: fmt.Sprintf("nesting deeper than %d", p.opts.maxDepth())}
+	if depth > DefaultMaxDepth {
+		return nil, &SyntaxError{Offset: tok.Offset, Msg: fmt.Sprintf("nesting deeper than %d", DefaultMaxDepth)}
 	}
 	switch tok.Kind {
 	case TokNull:

@@ -11,8 +11,8 @@ import (
 
 // ScanValues parses every top-level JSON value in r and calls fn for
 // each. It stops and returns the first error from parsing or from fn.
-func ScanValues(r io.Reader, opts Options, fn func(value.Value) error) error {
-	p := NewParser(r, opts)
+func ScanValues(r io.Reader, fn func(value.Value) error) error {
+	p := NewParser(r)
 	for {
 		v, err := p.Next()
 		if err == io.EOF {
@@ -30,7 +30,7 @@ func ScanValues(r io.Reader, opts Options, fn func(value.Value) error) error {
 // ParseAll parses every top-level JSON value in data.
 func ParseAll(data []byte) ([]value.Value, error) {
 	var vs []value.Value
-	err := ScanValues(bytes.NewReader(data), Options{}, func(v value.Value) error {
+	err := ScanValues(bytes.NewReader(data), func(v value.Value) error {
 		vs = append(vs, v)
 		return nil
 	})

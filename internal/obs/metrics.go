@@ -164,13 +164,12 @@ func (m Metrics) WithoutFaults() Metrics {
 
 // IsCacheMetric reports whether the named metric counts cache
 // effectiveness rather than work done: the intern-table counters
-// (intern_hits, intern_misses) and the fuse/simplify cache counters
-// (fuse_cache_hits, simplify_cache_misses, ...). Which chunks intern is
-// a shared, timing-dependent decision, concurrent workers can race to
-// compute the same entry and retried chunks re-intern their types, so
-// these depend on scheduling and WithoutTimings strips them.
+// (intern_hits, intern_misses). Which chunks intern is a shared,
+// timing-dependent decision, concurrent workers can race to insert the
+// same type and retried chunks re-intern their types, so these depend
+// on scheduling and WithoutTimings strips them.
 func IsCacheMetric(name string) bool {
-	return strings.HasPrefix(name, "intern_") || strings.Contains(name, "_cache_")
+	return strings.HasPrefix(name, "intern_")
 }
 
 // IsTimingMetric reports whether the named metric depends on host

@@ -161,8 +161,8 @@ func (a *plainAcc) Fold() Result {
 }
 
 // autoAcc is the chunked payload. Records a chunk typed through the
-// interner live in the multiset (exact distinct counts, memoized
-// fusion); records typed after the chunk stopped interning live in a
+// interner live in the multiset (exact distinct counts, one fuse per
+// distinct type); records typed after the chunk stopped interning live in a
 // plain size tally plus their structural hashes. Any mix of the two
 // folds to the same bytes: the size tallies combine exactly, and the
 // distinct count is the union of the structural hashes of both

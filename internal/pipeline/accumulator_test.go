@@ -56,7 +56,7 @@ var tuples = fusion.Options{Strategy: fusion.Tuples{}}
 // fewer than 256 records never finish sampling, so every record is
 // interned.
 func dedupTestEnv(fz fusion.Options, enr *enrich.Set) *Env {
-	return &Env{Fusion: fz, Dedup: NewDedup(fz), Enrich: enr}
+	return &Env{Fusion: fz, Dedup: NewDedup(), Enrich: enr}
 }
 
 // plainTestEnv is a chunked Env whose shared hint has settled on

@@ -31,7 +31,6 @@ import (
 	"repro/internal/fusion"
 	"repro/internal/infer"
 	"repro/internal/intern"
-	"repro/internal/jsontext"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/internal/types"
@@ -51,9 +50,6 @@ type Env struct {
 	// ChunkBytes is the chunk size of bounded-memory file feeds; zero
 	// means the partitioner default (4 MiB).
 	ChunkBytes int
-	// MaxDepth bounds value nesting in the streaming decoder; zero
-	// means the parser default.
-	MaxDepth int
 	// Failure and Injector configure the map-reduce failure handling.
 	Failure  mapreduce.FailurePolicy
 	Injector mapreduce.FaultInjector
@@ -63,9 +59,9 @@ type Env struct {
 	// ProgressEveryRecords records on the streaming path); nil reports
 	// nothing.
 	Progress func()
-	// Dedup is the intern table and fusion memo the chunked map stage
-	// types into; Run requires it (build it with NewDedup under
-	// Fusion), RunStream ignores it.
+	// Dedup is the intern table and per-chunk interning choice of the
+	// chunked map stage; Run requires it (build it with NewDedup),
+	// RunStream ignores it.
 	Dedup *Dedup
 	// Enrich, when non-nil, computes the configured enrichment monoids
 	// (internal/enrich) alongside structural inference in the same
@@ -82,8 +78,8 @@ type Env struct {
 }
 
 // Dedup is the shared machinery of the chunked map stage: the
-// hash-consing table the decoders intern into and the memoized fusion
-// policy keyed by that table's IDs. One value spans all chunks, workers
+// hash-consing table the decoders intern into and the shared state of
+// the per-chunk interning choice. One value spans all chunks, workers
 // and files of a single run.
 //
 // Interning pays on repetitive data and only costs on all-distinct
@@ -99,8 +95,7 @@ type Env struct {
 // statistics are byte-identical whichever way a chunk goes (pinned by
 // the differential and chaos suites).
 type Dedup struct {
-	Tab  *intern.Table
-	Memo *fusion.Memo
+	Tab *intern.Table
 
 	// sample is the number of records each chunk types through the
 	// interner before deciding; threshold is the sampled distinct-type
@@ -146,13 +141,10 @@ const (
 	hintDegrade int32 = -1
 )
 
-// NewDedup builds the intern table and fusion memo for one run under
-// the given fusion policy.
-func NewDedup(o fusion.Options) *Dedup {
-	tab := intern.NewTable()
+// NewDedup builds the intern table and interning choice for one run.
+func NewDedup() *Dedup {
 	return &Dedup{
-		Tab:        tab,
-		Memo:       fusion.NewMemo(o, tab),
+		Tab:        intern.NewTable(),
 		sample:     defaultDedupSample,
 		threshold:  defaultDedupThreshold,
 		nodeGrowth: defaultDedupNodeGrowth,
@@ -336,9 +328,9 @@ func RunPooled(ctx context.Context, env *Env, feed Feed, release func([]byte)) (
 // already settled on degrading), then decides — a sampled distinct
 // ratio at or above the threshold with enough intern-table growth per
 // record means hash-consing is pure overhead here — and types the rest
-// of the chunk down whichever path won. The interned portion fuses
-// through the memo, the degraded portion as a balanced tree; both land
-// in one autoAcc.
+// of the chunk down whichever path won. The interned portion fuses as
+// a left fold over its distinct types, the degraded portion as a
+// balanced tree; both land in one autoAcc.
 func (e *Env) mapChunk(chunk []byte) (Accumulator, error) {
 	dd := e.Dedup
 	acc := newAutoAcc(dd, e.Fusion)
@@ -347,7 +339,7 @@ func (e *Env) mapChunk(chunk []byte) (Accumulator, error) {
 	// combine stays exactly-once for enrichment too (docs/ENRICHMENT.md).
 	acc.lat = e.newLattice()
 	t0 := e.phaseStart()
-	dec := infer.NewBytesDecoder(chunk, jsontext.Options{})
+	dec := infer.NewBytesDecoder(chunk)
 	defer dec.Release()
 	if o := observer(acc.lat); o != nil {
 		dec.SetObserver(o)
@@ -376,10 +368,8 @@ func (e *Env) mapChunk(chunk []byte) (Accumulator, error) {
 		}
 		records++
 		if interned {
-			ref, ok := dd.Tab.Ref(t)
-			if !ok {
-				ref, _ = dd.Tab.Ref(dd.Tab.Canon(t))
-			}
+			// An interning decoder returns canonical types only.
+			ref, _ := dd.Tab.Ref(t)
 			acc.ms.Add(ref, 1)
 			sampled++
 			if sampled == limit {
@@ -394,15 +384,14 @@ func (e *Env) mapChunk(chunk []byte) (Accumulator, error) {
 		}
 	}
 	t0 = e.lapInfer(t0)
-	// Interned portion: a memoized left fold over the distinct types —
-	// chunks of similar data replay the same (accumulated, distinct)
-	// fuse pairs, so the memo cache absorbs most of the work, whereas
-	// tree-shaped intermediates vary per chunk and miss the cache.
+	// Interned portion: a left fold over the distinct types. Fusion is
+	// copy-on-write, so a distinct type the accumulated type already
+	// covers returns the accumulator and allocates nothing.
 	// Degraded portion: a balanced tree over the per-record types,
 	// where a left fold would degenerate (see treeFuse).
 	fused := types.Type(types.Empty)
 	for _, el := range acc.ms.Elems() {
-		fused = dd.Memo.Fuse(fused, dd.Memo.Simplify(el.Type))
+		fused = e.Fusion.Fuse(fused, e.Fusion.Simplify(el.Type))
 	}
 	if len(plain) > 0 {
 		for _, t := range plain {
@@ -529,7 +518,7 @@ func (e *Env) recordChunk(records, bytes int64, fused types.Type) {
 // chunked Run uses. Returns the accumulator and the number of input
 // bytes consumed. Cancellation takes effect between records.
 func RunStream(ctx context.Context, env *Env, r io.Reader) (Accumulator, int64, error) {
-	dec := infer.NewDecoder(r, jsontext.Options{MaxDepth: env.MaxDepth})
+	dec := infer.NewDecoder(r)
 	defer dec.Release()
 	if pr := env.promoter(); pr != nil {
 		dec.SetPromoter(pr)

@@ -69,7 +69,7 @@ func TestRunMidFeedCancel(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	env := &Env{Workers: 2, Progress: cancel, Dedup: NewDedup(fusion.Options{})}
+	env := &Env{Workers: 2, Progress: cancel, Dedup: NewDedup()}
 	_, _, err := Run(ctx, env, endlessFeed([]byte(`{"a":1}`)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -87,7 +87,7 @@ func TestRunMidCombineCancel(t *testing.T) {
 	env := &Env{
 		Workers: 2,
 		Rec:     &cancelOnObserve{metric: "mapreduce_combine_ns", cancel: cancel},
-		Dedup:   NewDedup(fusion.Options{}),
+		Dedup:   NewDedup(),
 	}
 	_, _, err := Run(ctx, env, endlessFeed([]byte(`{"a":1}`)))
 	if !errors.Is(err, context.Canceled) {
@@ -102,7 +102,7 @@ func TestRunPreCancelled(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := Run(ctx, &Env{Workers: 2, Dedup: NewDedup(fusion.Options{})}, endlessFeed([]byte(`{"a":1}`)))
+	_, _, err := Run(ctx, &Env{Workers: 2, Dedup: NewDedup()}, endlessFeed([]byte(`{"a":1}`)))
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -121,7 +121,7 @@ func TestRunFeedError(t *testing.T) {
 		}
 		return cause
 	}
-	_, _, err := Run(context.Background(), &Env{Workers: 2, Dedup: NewDedup(fusion.Options{})}, feed)
+	_, _, err := Run(context.Background(), &Env{Workers: 2, Dedup: NewDedup()}, feed)
 	var fe *FeedError
 	if !errors.As(err, &fe) {
 		t.Fatalf("err = %v (%T), want *FeedError", err, err)
@@ -132,7 +132,7 @@ func TestRunFeedError(t *testing.T) {
 	checkNoLeakedGoroutines(t, before)
 
 	// A decode failure is NOT a FeedError: the input arrived fine.
-	_, _, err = Run(context.Background(), &Env{Workers: 1, Dedup: NewDedup(fusion.Options{})}, SliceFeed([][]byte{[]byte(`{"broken`)}))
+	_, _, err = Run(context.Background(), &Env{Workers: 1, Dedup: NewDedup()}, SliceFeed([][]byte{[]byte(`{"broken`)}))
 	if err == nil {
 		t.Fatal("invalid JSON accepted")
 	}
@@ -149,7 +149,7 @@ func TestRunAndStreamAgree(t *testing.T) {
 	data := bytes.Repeat([]byte(`{"a":1,"b":[1,2]}
 {"a":"x"}
 `), 50)
-	env := &Env{Workers: 2, Fusion: fusion.Options{}, Dedup: NewDedup(fusion.Options{})}
+	env := &Env{Workers: 2, Fusion: fusion.Options{}, Dedup: NewDedup()}
 	streamEnv := &Env{Fusion: fusion.Options{}}
 	acc, _, err := Run(context.Background(), env, SliceFeed([][]byte{data}))
 	if err != nil {

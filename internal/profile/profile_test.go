@@ -225,7 +225,7 @@ func TestProfileFromNDJSONStream(t *testing.T) {
 	g, _ := dataset.New("github")
 	data := dataset.NDJSON(g, 50, 13)
 	var p Profile
-	if err := jsontext.ScanValues(strings.NewReader(string(data)), jsontext.Options{}, func(v value.Value) error {
+	if err := jsontext.ScanValues(strings.NewReader(string(data)), func(v value.Value) error {
 		p.Add(v)
 		return nil
 	}); err != nil {

@@ -485,7 +485,7 @@ func (s *Server) handleValidate(w http.ResponseWriter, r *http.Request, t *tenan
 		failures []validateFailure
 	)
 	ctx := r.Context()
-	p := jsontext.NewParser(s.body(w, r), jsontext.Options{})
+	p := jsontext.NewParser(s.body(w, r))
 	for {
 		if ctx.Err() != nil {
 			s.writeError(w, http.StatusBadRequest, ctx.Err())

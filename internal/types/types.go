@@ -174,6 +174,11 @@ func MustRecord(fields ...Field) *Record {
 	return r
 }
 
+// RecordFromSorted builds a record type that takes ownership of fields,
+// which must already be sorted by key, unique and non-nil; nothing is
+// copied, sorted or checked. The caller must not modify fields later.
+func RecordFromSorted(fields []Field) *Record { return &Record{fields: fields} }
+
 // Fields returns the record's fields in key order. Callers must not
 // modify the returned slice.
 func (r *Record) Fields() []Field { return r.fields }

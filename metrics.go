@@ -20,7 +20,7 @@ import (
 //
 // Metric names are stable and documented in docs/OBSERVABILITY.md.
 // Names ending in _ns, _permille or _per_sec depend on host timing, and
-// the cache counters (intern_*, *_cache_*) on scheduling;
+// the intern-table counters (intern_*) on scheduling;
 // WithoutTimings strips both, and what remains is byte-for-byte
 // reproducible (via MarshalJSON) across runs over the same input with
 // the same configuration.
@@ -107,8 +107,8 @@ func (m Metrics) Merge(other Metrics) Metrics {
 }
 
 // WithoutTimings returns a copy with every timing-dependent metric
-// (names ending in _ns, _permille or _per_sec) and every cache counter
-// (intern_*, *_cache_*) removed. The result is deterministic for a
+// (names ending in _ns, _permille or _per_sec) and every intern-table
+// counter (intern_*) removed. The result is deterministic for a
 // fixed input and configuration.
 func (m Metrics) WithoutTimings() Metrics {
 	return metricsFromObs(m.toObs().WithoutTimings())

@@ -208,9 +208,8 @@ type filesSource struct {
 }
 
 func (s filesSource) run(ctx context.Context, env *pipeline.Env) (*Schema, Stats, error) {
-	// One table and one memo span all files, so per-file accumulators
-	// merge by identity: cross-file distinct counts are exact and the
-	// cross-file fusion is memoized like any other.
+	// One intern table spans all files, so per-file accumulators merge
+	// by identity and cross-file distinct counts are exact.
 	var merged pipeline.Accumulator
 	var agg Stats
 	for _, path := range s.paths {
@@ -252,7 +251,7 @@ func (s filesSource) scan(ctx context.Context, env *pipeline.Env, fn func(value.
 // each. Cancellation takes effect between records, like the streaming
 // inference path. Returns the number of bytes consumed.
 func scanStream(ctx context.Context, env *pipeline.Env, r io.Reader, fn func(value.Value) error) (int64, error) {
-	p := jsontext.NewParser(r, jsontext.Options{MaxDepth: env.MaxDepth})
+	p := jsontext.NewParser(r)
 	var records int64
 	for {
 		select {

@@ -14,6 +14,7 @@ import (
 
 	jsi "repro"
 	"repro/internal/dataset"
+	"repro/internal/jsontext"
 )
 
 // manyChunks writes an NDJSON file large enough to split into many
@@ -186,7 +187,6 @@ func TestOptionsValidation(t *testing.T) {
 	}{
 		{"Workers", jsi.Options{Workers: -1}},
 		{"ChunkBytes", jsi.Options{ChunkBytes: -1}},
-		{"MaxDepth", jsi.Options{MaxDepth: -1}},
 		{"MaxTupleLen", jsi.Options{MaxTupleLen: -1}},
 	}
 	data := []byte(`{"a":1}`)
@@ -266,5 +266,51 @@ func TestReaderEOFVsEndless(t *testing.T) {
 		if n == 0 || err != nil {
 			t.Fatalf("endlessReader ran dry: n=%d err=%v", n, err)
 		}
+	}
+}
+
+// TestMaxDepthEverySource: every Source kind enforces the same nesting
+// limit, jsontext.DefaultMaxDepth — the limit itself is accepted, one
+// level past it is rejected.
+func TestMaxDepthEverySource(t *testing.T) {
+	dir := t.TempDir()
+	// nested(d) is one record whose innermost value sits at depth d.
+	nested := func(d int) []byte {
+		return []byte(strings.Repeat(`{"a":`, d) + "1" + strings.Repeat("}", d) + "\n")
+	}
+	sources := []struct {
+		name string
+		src  func(data []byte) jsi.Source
+	}{
+		{"FromBytes", func(data []byte) jsi.Source { return jsi.FromBytes(data) }},
+		{"FromReader", func(data []byte) jsi.Source { return jsi.FromReader(bytes.NewReader(data)) }},
+		{"FromChunkedReader", func(data []byte) jsi.Source { return jsi.FromChunkedReader(bytes.NewReader(data)) }},
+		{"FromFile", func(data []byte) jsi.Source {
+			path := filepath.Join(dir, "one.ndjson")
+			if err := os.WriteFile(path, data, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			return jsi.FromFile(path)
+		}},
+		{"FromFiles", func(data []byte) jsi.Source {
+			a, b := filepath.Join(dir, "a.ndjson"), filepath.Join(dir, "b.ndjson")
+			if err := os.WriteFile(a, []byte(`{"a":1}`+"\n"), 0o600); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(b, data, 0o600); err != nil {
+				t.Fatal(err)
+			}
+			return jsi.FromFiles(a, b)
+		}},
+	}
+	for _, s := range sources {
+		t.Run(s.name, func(t *testing.T) {
+			if _, _, err := jsi.Infer(context.Background(), s.src(nested(jsontext.DefaultMaxDepth)), jsi.Options{}); err != nil {
+				t.Errorf("depth %d rejected: %v", jsontext.DefaultMaxDepth, err)
+			}
+			if _, _, err := jsi.Infer(context.Background(), s.src(nested(jsontext.DefaultMaxDepth+1)), jsi.Options{}); err == nil {
+				t.Errorf("depth %d accepted", jsontext.DefaultMaxDepth+1)
+			}
+		})
 	}
 }
