@@ -42,31 +42,49 @@ func TestCopyOnWriteLaws(t *testing.T) {
 	}
 }
 
-// TestCoveredFuseAllocatesNothing: on the paper's datasets, fusing a
-// record's simplified type into an accumulator that already covers it
-// returns the accumulator without allocating — the steady state of the
+// TestCoveredFuseAllocatesNothing: on the paper's datasets, and under
+// the tagged strategy on the discriminated ones, fusing a record's
+// simplified type into an accumulator that already covers it returns
+// the accumulator without allocating — the steady state of the
 // interned fold.
 func TestCoveredFuseAllocatesNothing(t *testing.T) {
+	type run struct {
+		name string
+		o    Options
+	}
+	var runs []run
 	for _, name := range dataset.PaperNames() {
-		g, err := dataset.New(name)
+		runs = append(runs, run{name, Options{Strategy: Paper{}}})
+	}
+	for _, name := range []string{"eventlog", "webhook", "github"} {
+		runs = append(runs, run{name, Options{Strategy: Tagged{}}})
+	}
+	for _, rn := range runs {
+		g, err := dataset.New(rn.name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vs := dataset.Values(g, 100, 1)
-		ss := make([]types.Type, len(vs))
-		acc := types.Type(types.Empty)
-		for i, v := range vs {
-			ss[i] = Simplify(infer.Infer(v))
-			acc = Fuse(acc, ss[i])
+		var pr infer.Promoter
+		if p := rn.o.Promoter(); p != nil {
+			pr = p
 		}
-		for i, s := range ss {
+		ts, err := infer.InferAllWith(dataset.NDJSON(g, 100, 1), nil, pr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acc := types.Type(types.Empty)
+		for i, typ := range ts {
+			ts[i] = rn.o.Simplify(typ)
+			acc = rn.o.Fuse(acc, ts[i])
+		}
+		for i, s := range ts {
 			var got types.Type
-			allocs := testing.AllocsPerRun(5, func() { got = Fuse(acc, s) })
+			allocs := testing.AllocsPerRun(5, func() { got = rn.o.Fuse(acc, s) })
 			if got != acc {
-				t.Fatalf("%s record %d: Fuse(acc, s) did not return acc", name, i)
+				t.Fatalf("%s %s record %d: Fuse(acc, s) did not return acc", rn.name, rn.o.Strategy.Name(), i)
 			}
 			if allocs != 0 {
-				t.Fatalf("%s record %d: Fuse(acc, s) allocated %.0f times", name, i, allocs)
+				t.Fatalf("%s %s record %d: Fuse(acc, s) allocated %.0f times", rn.name, rn.o.Strategy.Name(), i, allocs)
 			}
 		}
 	}

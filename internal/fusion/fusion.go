@@ -411,25 +411,9 @@ func (p policy) simplify(t types.Type) types.Type {
 	case types.Basic, types.EmptyType:
 		return t
 	case *types.Record:
-		fs := tt.Fields()
-		var out []types.Field
-		for i, f := range fs {
-			s := p.simplify(f.Type)
-			if out == nil {
-				if s == f.Type {
-					continue
-				}
-				out = make([]types.Field, len(fs))
-				copy(out, fs[:i])
-			}
-			out[i] = types.Field{Key: f.Key, Type: s, Optional: f.Optional}
-		}
-		if out == nil {
-			return t
-		}
-		return types.RecordFromSorted(out)
+		return mapFields(tt, p.simplify)
 	case *types.Tuple:
-		elems, changed := p.simplifyEach(tt.Elems())
+		elems, changed := mapEach(tt.Elems(), p.simplify)
 		switch {
 		case !p.keepTuple(tt.Len()):
 			return types.MustRepeated(p.collapse(elems))
@@ -444,44 +428,21 @@ func (p policy) simplify(t types.Type) types.Type {
 		}
 		return t
 	case *types.Variants:
-		other := tt.Other()
-		if other != nil {
-			other = p.simplify(other).(*types.Record)
-		}
 		if tt.Collapsed() {
+			other := p.simplify(tt.Other()).(*types.Record)
 			if other == tt.Other() {
 				return t
 			}
 			return types.MustCollapsedVariants(other)
 		}
-		cases := tt.Cases()
-		var cs []types.Variant
-		for i, c := range cases {
-			r := p.simplify(c.Type).(*types.Record)
-			if cs == nil {
-				if r == c.Type {
-					continue
-				}
-				cs = make([]types.Variant, len(cases))
-				copy(cs, cases[:i])
-			}
-			cs[i] = types.Variant{Tag: c.Tag, Type: r}
-		}
-		switch {
-		case cs != nil:
-			return types.MustVariants(tt.Key(), tt.Wrapper(), cs, other)
-		case other != tt.Other():
-			return types.MustVariants(tt.Key(), tt.Wrapper(), cases, other)
-		default:
-			return t
-		}
+		return mapCases(tt, p.simplify)
 	case *types.Repeated:
 		if e := p.simplify(tt.Elem()); e != tt.Elem() {
 			return types.MustRepeated(e)
 		}
 		return t
 	case *types.Union:
-		alts, changed := p.simplifyEach(tt.Alts())
+		alts, changed := mapEach(tt.Alts(), p.simplify)
 		if !changed && distinctKinds(alts) {
 			return t
 		}
@@ -498,12 +459,67 @@ func (p policy) simplify(t types.Type) types.Type {
 	}
 }
 
-// simplifyEach simplifies every type of ts. It returns ts itself and
-// false when none changed, and a fresh slice and true otherwise.
-func (p policy) simplifyEach(ts []types.Type) ([]types.Type, bool) {
+// mapFields applies f to every field type of r. It returns r itself
+// when f returned every type unchanged, and a record over a fresh field
+// slice otherwise — the copy-on-write step of simplify and finalize.
+func mapFields(r *types.Record, f func(types.Type) types.Type) *types.Record {
+	fs := r.Fields()
+	var out []types.Field
+	for i, fd := range fs {
+		t := f(fd.Type)
+		if out == nil {
+			if t == fd.Type {
+				continue
+			}
+			out = make([]types.Field, len(fs))
+			copy(out, fs[:i])
+		}
+		out[i] = types.Field{Key: fd.Key, Type: t, Optional: fd.Optional}
+	}
+	if out == nil {
+		return r
+	}
+	return types.RecordFromSorted(out)
+}
+
+// mapCases applies f to every case record and to Other of a keyed or
+// wrapper variants type. It returns v itself when f returned every
+// record unchanged.
+func mapCases(v *types.Variants, f func(types.Type) types.Type) *types.Variants {
+	cases := v.Cases()
+	var cs []types.Variant
+	for i, c := range cases {
+		r := f(c.Type).(*types.Record)
+		if cs == nil {
+			if r == c.Type {
+				continue
+			}
+			cs = make([]types.Variant, len(cases))
+			copy(cs, cases[:i])
+		}
+		cs[i] = types.Variant{Tag: c.Tag, Type: r}
+	}
+	other := v.Other()
+	if other != nil {
+		other = f(other).(*types.Record)
+	}
+	switch {
+	case cs != nil:
+		return types.MustVariants(v.Key(), v.Wrapper(), cs, other)
+	case other != v.Other():
+		return types.MustVariants(v.Key(), v.Wrapper(), cases, other)
+	default:
+		return v
+	}
+}
+
+// mapEach applies f to every type of ts. It returns ts itself and false
+// when f returned every type unchanged, and a fresh slice and true
+// otherwise — the copy-on-write step of simplify and finalize.
+func mapEach(ts []types.Type, f func(types.Type) types.Type) ([]types.Type, bool) {
 	var out []types.Type
 	for i, t := range ts {
-		s := p.simplify(t)
+		s := f(t)
 		if out == nil {
 			if s == t {
 				continue

@@ -205,6 +205,19 @@ func (o Options) Simplify(t types.Type) types.Type {
 	return o.policy().simplify(t)
 }
 
+// NormalArray returns Simplify(Tuple(elems)) for already simplified
+// elems without building the tuple first: a tuple the policy keeps
+// (copied out of elems), otherwise the repeated type over the collapse
+// of elems, so [] becomes [ε*]. It makes Options the normal-mode hook
+// of the streaming decoder (infer.Normalizer).
+func (o Options) NormalArray(elems []types.Type) types.Type {
+	p := o.policy()
+	if p.keepTuple(len(elems)) {
+		return types.MustTuple(elems...)
+	}
+	return types.MustRepeated(p.collapse(elems))
+}
+
 // Finalize lowers the intermediate variants states a tagged fusion
 // leaves behind — collapsed unions become their plain record, weak
 // wrapper hypotheses (fewer than two observed tags) fold back into the

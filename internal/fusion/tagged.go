@@ -53,15 +53,20 @@ func (p policy) fuseVariantsKind(t1, t2 types.Type) types.Type {
 // branch. Other's catch-all membership semantics makes this sound
 // unconditionally, which keeps the rule order-independent: Other is
 // always the plain record fusion of every undiscriminated constituent.
+// The union itself is returned when Other already covers the record.
 func (p policy) fuseVariantsRecord(v *types.Variants, r *types.Record) types.Type {
 	other := r
 	if v.Other() != nil {
 		other = p.fuseRecordsR(v.Other(), r)
 	}
-	if v.Collapsed() {
+	switch {
+	case other == v.Other():
+		return v
+	case v.Collapsed():
 		return types.MustCollapsedVariants(other)
+	default:
+		return types.MustVariants(v.Key(), v.Wrapper(), v.Cases(), other)
 	}
-	return types.MustVariants(v.Key(), v.Wrapper(), v.Cases(), other)
 }
 
 // fuseVariants merges two tagged unions. Matching modes and keys merge
@@ -69,10 +74,19 @@ func (p policy) fuseVariantsRecord(v *types.Variants, r *types.Record) types.Typ
 // than the cap, or either side already collapsed — yields the absorbing
 // collapsed state around the plain record fusion of everything, which
 // is exactly what the Paper strategy would have produced for the same
-// multiset of records.
+// multiset of records. Like fuseRecords, the case merge is allocated
+// only once it stops reproducing a's or b's cases, and an operand is
+// returned when it already is the result.
 func (p policy) fuseVariants(a, b *types.Variants) types.Type {
 	collapse := func() types.Type {
-		return types.MustCollapsedVariants(p.fuseRecordsR(p.flattenVariants(a), p.flattenVariants(b)))
+		other := p.fuseRecordsR(p.flattenVariants(a), p.flattenVariants(b))
+		switch {
+		case a.Collapsed() && other == a.Other():
+			return a
+		case b.Collapsed() && other == b.Other():
+			return b
+		}
+		return types.MustCollapsedVariants(other)
 	}
 	if a.Collapsed() || b.Collapsed() {
 		return collapse()
@@ -81,25 +95,43 @@ func (p policy) fuseVariants(a, b *types.Variants) types.Type {
 		return collapse()
 	}
 	ca, cb := a.Cases(), b.Cases()
-	out := make([]types.Variant, 0, len(ca)+len(cb))
-	i, j := 0, 0
-	for i < len(ca) && j < len(cb) {
+	var out []types.Variant
+	same1, same2 := true, true
+	n, i, j := 0, 0, 0
+	for i < len(ca) || j < len(cb) {
+		var c types.Variant
 		switch {
-		case ca[i].Tag == cb[j].Tag:
-			out = append(out, types.Variant{Tag: ca[i].Tag, Type: p.fuseRecordsR(ca[i].Type, cb[j].Type)})
+		case j == len(cb) || (i < len(ca) && ca[i].Tag < cb[j].Tag):
+			c = ca[i]
 			i++
+		case i == len(ca) || cb[j].Tag < ca[i].Tag:
+			c = cb[j]
 			j++
-		case ca[i].Tag < cb[j].Tag:
-			out = append(out, ca[i])
-			i++
 		default:
-			out = append(out, cb[j])
+			c = types.Variant{Tag: ca[i].Tag, Type: p.fuseRecordsR(ca[i].Type, cb[j].Type)}
+			i++
 			j++
 		}
+		if out == nil {
+			prefix := cb
+			if same1 {
+				prefix = ca
+			}
+			same1 = same1 && n < len(ca) && ca[n] == c
+			same2 = same2 && n < len(cb) && cb[n] == c
+			if same1 || same2 {
+				n++
+				continue
+			}
+			out = make([]types.Variant, n, n+1+len(ca)-i+len(cb)-j)
+			copy(out, prefix)
+		}
+		out = append(out, c)
 	}
-	out = append(out, ca[i:]...)
-	out = append(out, cb[j:]...)
-	if len(out) > p.variantsCap() {
+	if out != nil {
+		n = len(out)
+	}
+	if n > p.variantsCap() {
 		return collapse()
 	}
 	other := a.Other()
@@ -109,7 +141,18 @@ func (p policy) fuseVariants(a, b *types.Variants) types.Type {
 	case b.Other() != nil:
 		other = p.fuseRecordsR(other, b.Other())
 	}
-	return types.MustVariants(a.Key(), a.Wrapper(), out, other)
+	switch {
+	case out != nil:
+		return types.MustVariants(a.Key(), a.Wrapper(), out, other)
+	case same1 && other == a.Other():
+		return a
+	case same2 && other == b.Other():
+		return b
+	case same1:
+		return types.MustVariants(a.Key(), a.Wrapper(), ca, other)
+	default:
+		return types.MustVariants(a.Key(), a.Wrapper(), cb, other)
+	}
 }
 
 // flattenVariants computes the plain record the Paper strategy would
@@ -163,12 +206,7 @@ func (p policy) finalize(t types.Type) types.Type {
 	case types.Basic, types.EmptyType:
 		return t
 	case *types.Record:
-		fs := tt.Fields()
-		out := make([]types.Field, len(fs))
-		for i, f := range fs {
-			out[i] = types.Field{Key: f.Key, Type: p.finalize(f.Type), Optional: f.Optional}
-		}
-		return types.MustRecord(out...)
+		return mapFields(tt, p.finalize)
 	case *types.Variants:
 		if tt.Collapsed() {
 			return p.finalize(tt.Other())
@@ -176,34 +214,31 @@ func (p policy) finalize(t types.Type) types.Type {
 		if tt.Wrapper() && tt.Len() < 2 {
 			return p.finalize(p.flattenVariants(tt))
 		}
-		cs := make([]types.Variant, tt.Len())
-		for i, c := range tt.Cases() {
-			cs[i] = types.Variant{Tag: c.Tag, Type: p.finalize(c.Type).(*types.Record)}
-		}
-		var other *types.Record
-		if tt.Other() != nil {
-			other = p.finalize(tt.Other()).(*types.Record)
-		}
-		return types.MustVariants(tt.Key(), tt.Wrapper(), cs, other)
+		return mapCases(tt, p.finalize)
 	case *types.Map:
-		return types.MustMap(p.finalize(tt.Elem()))
+		if e := p.finalize(tt.Elem()); e != tt.Elem() {
+			return types.MustMap(e)
+		}
+		return t
 	case *types.Tuple:
-		elems := make([]types.Type, tt.Len())
-		for i, e := range tt.Elems() {
-			elems[i] = p.finalize(e)
+		elems, changed := mapEach(tt.Elems(), p.finalize)
+		if !changed {
+			return t
 		}
 		return types.MustTuple(elems...)
 	case *types.Repeated:
-		return types.MustRepeated(p.finalize(tt.Elem()))
+		if e := p.finalize(tt.Elem()); e != tt.Elem() {
+			return types.MustRepeated(e)
+		}
+		return t
 	case *types.Union:
-		alts := tt.Alts()
-		out := make([]types.Type, len(alts))
-		for i, a := range alts {
-			out[i] = p.finalize(a)
+		alts, changed := mapEach(tt.Alts(), p.finalize)
+		if !changed {
+			return t
 		}
 		// Lowering keeps every alternative in its kind (variants lower
 		// to records, both record-kind), so normality is preserved.
-		return types.MustUnion(out...)
+		return types.MustUnion(alts...)
 	default:
 		panic(fmt.Sprintf("fusion: unknown type %T", t))
 	}

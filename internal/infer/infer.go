@@ -8,6 +8,15 @@
 // value.Value, and a streaming decoder (Decoder) infers types directly
 // from the token stream of internal/jsontext without materializing
 // values, which is how the map phase processes large files.
+//
+// The decoder also has a normal mode (SetNormalizer) that runs the
+// start of phase two in the same pass: it simplifies each array as it
+// closes it (Figure 6, lines 8-9), so it emits repeated types — and,
+// inside them, the unions and optional fields that collapsing the
+// elements introduces — exactly as Simplify would rewrite the Figure 4
+// type. The plain and streaming pipeline paths use it; the Figure 4
+// type is then never built, and the decoder reports its size and hash
+// (RawSizeHash) for the statistics.
 package infer
 
 import (
@@ -99,6 +108,19 @@ type Promoter interface {
 	PromoteWrapper(r *types.Record, tag string) types.Type
 }
 
+// A Normalizer builds the normal form of an array from the normal forms
+// of its elements: phase two's array simplification (Figure 6, lines
+// 8-9) applied as the decoder closes each array, so the decoder emits
+// the fusion strategy's normal form without a separate Simplify pass.
+// fusion.Options implements it.
+type Normalizer interface {
+	// NormalArray returns the normal form of the tuple type of elems,
+	// whose types are normal already; it must be a pure function of its
+	// argument. elems is the decoder's scratch: implementations copy
+	// what they keep.
+	NormalArray(elems []types.Type) types.Type
+}
+
 // Decoder infers one type per top-level JSON value read from an input
 // stream, without building intermediate value trees.
 type Decoder struct {
@@ -107,6 +129,13 @@ type Decoder struct {
 	// tab, when set, hash-conses every inferred node so Next returns the
 	// canonical representative of each distinct type (see SetInterner).
 	tab *intern.Table
+
+	// norm, when set, makes Next return normal forms (see
+	// SetNormalizer); normEmpty caches the normal form of [], and last
+	// holds the raw size and hash of the last value Next returned.
+	norm      Normalizer
+	normEmpty types.Type
+	last      raw
 
 	// obs, when set, receives value events alongside inference.
 	obs Observer
@@ -120,10 +149,35 @@ type Decoder struct {
 	// fieldScratch and elemScratch hold one reusable accumulator per
 	// nesting depth, so a record or array at depth d appends into the
 	// same backing array on every value of the stream instead of growing
-	// a fresh slice per composite value.
+	// a fresh slice per composite value. hashScratch holds the raw hashes
+	// of the children of the composite open at each depth (normal mode
+	// only; one value per depth is open at a time, object or array).
 	fieldScratch [][]types.Field
 	elemScratch  [][]types.Type
+	hashScratch  [][]uint64
 }
+
+// raw is the size and structural hash (types.Hash) of a value's raw
+// phase-one type, which the normal mode computes bottom-up beside the
+// normal form it builds. The other modes leave composites' raw zero.
+type raw struct {
+	size int
+	hash uint64
+}
+
+// Raw sizes and hashes of the leaves and the empty composites.
+var (
+	nullRaw       = raw{1, types.HashBasic(types.Null)}
+	boolRaw       = raw{1, types.HashBasic(types.Bool)}
+	numRaw        = raw{1, types.HashBasic(types.Num)}
+	strRaw        = raw{1, types.HashBasic(types.Str)}
+	emptyTupleRaw = raw{1, types.HashTuple(nil)}
+	emptyRecRaw   = raw{1, types.HashRecord(nil, nil)}
+)
+
+// emptyRecord is the type of {} outside interning; types are immutable,
+// so every empty object shares it.
+var emptyRecord = types.MustRecord()
 
 // NewDecoder returns a streaming type decoder for r. The decoder draws
 // its lexer from a pool; call Release when done with the stream to
@@ -159,8 +213,33 @@ func (d *Decoder) Release() {
 // in tab: Next then returns hash-consed nodes, so callers can compare
 // types by identity (Table.Ref) and deduplicate repeated shapes without
 // walking them. Inference results are unchanged — the canonical node is
-// structurally equal to what the plain decoder would build.
-func (d *Decoder) SetInterner(tab *intern.Table) { d.tab = tab }
+// structurally equal to what the plain decoder would build. Interning
+// and the normal mode exclude each other: installing a table while a
+// Normalizer is set panics.
+func (d *Decoder) SetInterner(tab *intern.Table) {
+	if tab != nil && d.norm != nil {
+		panic("infer: SetInterner on a normal-mode decoder")
+	}
+	d.tab = tab
+}
+
+// SetNormalizer switches the decoder to its normal mode (nil switches
+// back): Next then returns the normal form of each value's type — the
+// Simplify of what the plain decoder would return, so arrays come out
+// as repeated types or, where the policy keeps them, as tuples — and
+// RawSizeHash reports the size and hash of that plain type, computed in
+// the same pass. Installing a Normalizer while an interner is set
+// panics.
+func (d *Decoder) SetNormalizer(n Normalizer) {
+	if n != nil && d.tab != nil {
+		panic("infer: SetNormalizer on an interning decoder")
+	}
+	d.norm = n
+	d.normEmpty = nil
+	if n != nil {
+		d.normEmpty = n.NormalArray(nil)
+	}
+}
 
 // SetObserver directs the decoder to report value events to obs while
 // inferring; nil (the default) reports nothing and costs one branch
@@ -189,8 +268,20 @@ func (d *Decoder) Next() (types.Type, error) {
 	if tok.Kind == jsontext.TokEOF {
 		return nil, io.EOF
 	}
-	return d.inferValue(tok, 0)
+	t, m, err := d.inferValue(tok, 0)
+	if d.norm == nil {
+		m = raw{}
+	}
+	d.last = m
+	return t, err
 }
+
+// RawSizeHash returns, in normal mode, the Size and types.Hash of the
+// plain (phase-one) type of the value Next last returned — the inputs
+// of the Tables 2-5 statistics, which count raw types — without that
+// type ever being built. Outside normal mode it returns zeros; the
+// plain type is what Next returned.
+func (d *Decoder) RawSizeHash() (size int, hash uint64) { return d.last.size, d.last.hash }
 
 // Offset returns the number of input bytes consumed so far.
 func (d *Decoder) Offset() int64 { return d.lex.Offset() }
@@ -199,39 +290,39 @@ func (d *Decoder) syntaxErr(off int64, format string, args ...any) error {
 	return &jsontext.SyntaxError{Offset: off, Msg: fmt.Sprintf(format, args...)}
 }
 
-func (d *Decoder) inferValue(tok jsontext.Token, depth int) (types.Type, error) {
+func (d *Decoder) inferValue(tok jsontext.Token, depth int) (types.Type, raw, error) {
 	if depth > jsontext.DefaultMaxDepth {
-		return nil, d.syntaxErr(tok.Offset, "nesting deeper than %d", jsontext.DefaultMaxDepth)
+		return nil, raw{}, d.syntaxErr(tok.Offset, "nesting deeper than %d", jsontext.DefaultMaxDepth)
 	}
 	switch tok.Kind {
 	case jsontext.TokNull:
 		if d.obs != nil {
 			d.obs.Null()
 		}
-		return types.Null, nil
+		return types.Null, nullRaw, nil
 	case jsontext.TokTrue, jsontext.TokFalse:
 		if d.obs != nil {
 			d.obs.Bool(tok.Kind == jsontext.TokTrue)
 		}
-		return types.Bool, nil
+		return types.Bool, boolRaw, nil
 	case jsontext.TokNum:
 		if d.obs != nil {
 			d.obs.Num(tok.Num)
 		}
-		return types.Num, nil
+		return types.Num, numRaw, nil
 	case jsontext.TokStr:
 		if d.obs != nil {
 			// The lexer runs in raw-string mode, so a value string is
 			// only materialized when someone is watching.
 			d.obs.Str(d.lex.InternBytes(tok.Bytes))
 		}
-		return types.Str, nil
+		return types.Str, strRaw, nil
 	case jsontext.TokBeginObject:
 		return d.inferObject(depth)
 	case jsontext.TokBeginArray:
 		return d.inferArray(depth)
 	default:
-		return nil, d.syntaxErr(tok.Offset, "unexpected %s", tok.Kind)
+		return nil, raw{}, d.syntaxErr(tok.Offset, "unexpected %s", tok.Kind)
 	}
 }
 
@@ -251,11 +342,25 @@ func (d *Decoder) elemsAt(depth int) []types.Type {
 	return d.elemScratch[depth][:0]
 }
 
-func (d *Decoder) inferObject(depth int) (types.Type, error) {
+// hashesAt returns the (emptied) child-hash accumulator for a nesting
+// depth, or nil outside normal mode.
+func (d *Decoder) hashesAt(depth int) []uint64 {
+	if d.norm == nil {
+		return nil
+	}
+	for len(d.hashScratch) <= depth {
+		d.hashScratch = append(d.hashScratch, nil)
+	}
+	return d.hashScratch[depth][:0]
+}
+
+func (d *Decoder) inferObject(depth int) (types.Type, raw, error) {
 	if d.obs != nil {
 		d.obs.BeginObject()
 	}
 	fields := d.fieldsAt(depth)
+	hashes := d.hashesAt(depth)
+	size := 1
 	first := true
 	// Discriminator capture for the tagged strategy: the best (lowest
 	// priority index) candidate key seen with a short string value, and
@@ -266,16 +371,16 @@ func (d *Decoder) inferObject(depth int) (types.Type, error) {
 	for {
 		tok, err := d.lex.Next()
 		if err != nil {
-			return nil, err
+			return nil, raw{}, err
 		}
 		if first && tok.Kind == jsontext.TokEndObject {
 			if d.obs != nil {
 				d.obs.EndObject()
 			}
 			if d.tab != nil {
-				return d.tab.InternRecord(nil), nil
+				return d.tab.InternRecord(nil), raw{}, nil
 			}
-			return types.MustRecord(), nil
+			return emptyRecord, emptyRecRaw, nil
 		}
 		if !first {
 			switch tok.Kind {
@@ -284,23 +389,27 @@ func (d *Decoder) inferObject(depth int) (types.Type, error) {
 					d.obs.EndObject()
 				}
 				d.fieldScratch[depth] = fields
-				rt, err := d.buildRecord(fields)
-				if err != nil || d.pr == nil {
-					return rt, err
+				if d.norm != nil {
+					d.hashScratch[depth] = hashes
 				}
-				return d.promote(rt.(*types.Record), tagPrio >= 0, tagKey, tagVal, wrapperCand && len(fields) == 1), nil
+				rt, m := d.buildRecord(fields, hashes, size)
+				if d.pr == nil {
+					return rt, m, nil
+				}
+				t, m := d.promote(rt.(*types.Record), m, tagPrio >= 0, tagKey, tagVal, wrapperCand && len(fields) == 1)
+				return t, m, nil
 			case jsontext.TokComma:
 				tok, err = d.lex.Next()
 				if err != nil {
-					return nil, err
+					return nil, raw{}, err
 				}
 			default:
-				return nil, d.syntaxErr(tok.Offset, "expected ',' or '}' in object, got %s", tok.Kind)
+				return nil, raw{}, d.syntaxErr(tok.Offset, "expected ',' or '}' in object, got %s", tok.Kind)
 			}
 		}
 		first = false
 		if tok.Kind != jsontext.TokStr {
-			return nil, d.syntaxErr(tok.Offset, "expected object key string, got %s", tok.Kind)
+			return nil, raw{}, d.syntaxErr(tok.Offset, "expected object key string, got %s", tok.Kind)
 		}
 		// Keys go through the lexer's intern cache: after the first
 		// occurrence a repeated field name costs zero allocations.
@@ -309,7 +418,7 @@ func (d *Decoder) inferObject(depth int) (types.Type, error) {
 		// accumulated fields beats allocating a per-object set.
 		for i := range fields {
 			if fields[i].Key == key {
-				return nil, d.syntaxErr(tok.Offset, "duplicate object key %q", key)
+				return nil, raw{}, d.syntaxErr(tok.Offset, "duplicate object key %q", key)
 			}
 		}
 		if d.obs != nil {
@@ -317,14 +426,14 @@ func (d *Decoder) inferObject(depth int) (types.Type, error) {
 		}
 		colon, err := d.lex.Next()
 		if err != nil {
-			return nil, err
+			return nil, raw{}, err
 		}
 		if colon.Kind != jsontext.TokColon {
-			return nil, d.syntaxErr(colon.Offset, "expected ':' after key, got %s", colon.Kind)
+			return nil, raw{}, d.syntaxErr(colon.Offset, "expected ':' after key, got %s", colon.Kind)
 		}
 		vt, err := d.lex.Next()
 		if err != nil {
-			return nil, err
+			return nil, raw{}, err
 		}
 		if d.pr != nil {
 			if len(fields) == 0 && vt.Kind == jsontext.TokBeginObject {
@@ -346,24 +455,27 @@ func (d *Decoder) inferObject(depth int) (types.Type, error) {
 				}
 			}
 		}
-		ft, err := d.inferValue(vt, depth+1)
+		ft, fm, err := d.inferValue(vt, depth+1)
 		if err != nil {
-			return nil, err
+			return nil, raw{}, err
 		}
 		fields = append(fields, types.Field{Key: key, Type: ft})
+		if d.norm != nil {
+			hashes = append(hashes, fm.hash)
+			size += 1 + fm.size
+		}
 	}
 }
 
 // buildRecord turns accumulated (unique-keyed, parse-ordered) fields
-// into a record type. The interning path sorts in place — an insertion
-// sort, because objects are small and the keys of real datasets arrive
-// nearly sorted — and probes the table before building, so a repeated
-// record shape costs zero allocations. fields is scratch owned by the
-// caller; both paths copy out of it.
-func (d *Decoder) buildRecord(fields []types.Field) (types.Type, error) {
-	if d.tab == nil {
-		return types.NewRecord(fields...)
-	}
+// into a record type. It sorts in place — an insertion sort, because
+// objects are small and the keys of real datasets arrive nearly sorted
+// — carrying the children's raw hashes along in normal mode. The
+// interning path then probes the table, so a repeated record shape
+// costs zero allocations; the others copy the fields once, at their
+// exact length. fields and hashes are scratch owned by the caller.
+// size is the raw size accumulated in normal mode.
+func (d *Decoder) buildRecord(fields []types.Field, hashes []uint64, size int) (types.Type, raw) {
 	for i := 1; i < len(fields); i++ {
 		f := fields[i]
 		j := i - 1
@@ -372,49 +484,72 @@ func (d *Decoder) buildRecord(fields []types.Field) (types.Type, error) {
 			j--
 		}
 		fields[j+1] = f
+		if d.norm != nil && j+1 < i {
+			h := hashes[i]
+			copy(hashes[j+2:i+1], hashes[j+1:i])
+			hashes[j+1] = h
+		}
 	}
-	return d.tab.InternRecord(fields), nil
+	if d.tab != nil {
+		return d.tab.InternRecord(fields), raw{}
+	}
+	r := types.RecordFromSorted(append([]types.Field(nil), fields...))
+	if d.norm == nil {
+		return r, raw{}
+	}
+	return r, raw{size, types.HashRecord(fields, hashes)}
 }
 
 // promote wraps a freshly inferred record into a single-case variants
 // type when a discriminator was captured: a keyed candidate wins over
 // the wrapper shape. The canonical representative is returned when an
 // interner is installed (children are already canonical, so this is a
-// shallow probe).
-func (d *Decoder) promote(r *types.Record, keyed bool, tagKey, tagVal string, wrapper bool) types.Type {
+// shallow probe); in normal mode the raw size and hash become those of
+// the single-case variants around the raw record.
+func (d *Decoder) promote(r *types.Record, m raw, keyed bool, tagKey, tagVal string, wrapper bool) (types.Type, raw) {
 	var t types.Type
 	switch {
 	case keyed:
 		t = d.pr.Promote(r, tagKey, tagVal)
 	case wrapper:
-		t = d.pr.PromoteWrapper(r, r.Fields()[0].Key)
+		tagKey, tagVal = "", r.Fields()[0].Key
+		t = d.pr.PromoteWrapper(r, tagVal)
 	default:
-		return r
+		return r, m
 	}
-	if d.tab != nil {
-		return d.tab.Canon(t)
+	switch {
+	case d.tab != nil:
+		return d.tab.Canon(t), raw{}
+	case d.norm == nil:
+		return t, raw{}
+	default:
+		return t, raw{m.size + 2, types.HashCase(tagKey, !keyed, tagVal, m.hash)}
 	}
-	return t
 }
 
-func (d *Decoder) inferArray(depth int) (types.Type, error) {
+func (d *Decoder) inferArray(depth int) (types.Type, raw, error) {
 	if d.obs != nil {
 		d.obs.BeginArray()
 	}
 	elems := d.elemsAt(depth)
+	hashes := d.hashesAt(depth)
+	size := 1
 	first := true
 	for {
 		tok, err := d.lex.Next()
 		if err != nil {
-			return nil, err
+			return nil, raw{}, err
 		}
 		if first && tok.Kind == jsontext.TokEndArray {
 			if d.obs != nil {
 				d.obs.EndArray(0)
 			}
+			if d.norm != nil {
+				return d.normEmpty, emptyTupleRaw, nil
+			}
 			// EmptyTuple is one shared node, pre-seeded in every table, so
-			// both paths return the canonical representative.
-			return types.EmptyTuple, nil
+			// both other modes return the canonical representative.
+			return types.EmptyTuple, raw{}, nil
 		}
 		if !first {
 			switch tok.Kind {
@@ -423,25 +558,34 @@ func (d *Decoder) inferArray(depth int) (types.Type, error) {
 					d.obs.EndArray(len(elems))
 				}
 				d.elemScratch[depth] = elems
-				if d.tab != nil {
-					return d.tab.InternTuple(elems), nil
+				switch {
+				case d.tab != nil:
+					return d.tab.InternTuple(elems), raw{}, nil
+				case d.norm != nil:
+					d.hashScratch[depth] = hashes
+					return d.norm.NormalArray(elems), raw{size, types.HashTuple(hashes)}, nil
+				default:
+					return types.MustTuple(elems...), raw{}, nil
 				}
-				return types.NewTuple(elems...)
 			case jsontext.TokComma:
 				tok, err = d.lex.Next()
 				if err != nil {
-					return nil, err
+					return nil, raw{}, err
 				}
 			default:
-				return nil, d.syntaxErr(tok.Offset, "expected ',' or ']' in array, got %s", tok.Kind)
+				return nil, raw{}, d.syntaxErr(tok.Offset, "expected ',' or ']' in array, got %s", tok.Kind)
 			}
 		}
 		first = false
-		et, err := d.inferValue(tok, depth+1)
+		et, em, err := d.inferValue(tok, depth+1)
 		if err != nil {
-			return nil, err
+			return nil, raw{}, err
 		}
 		elems = append(elems, et)
+		if d.norm != nil {
+			hashes = append(hashes, em.hash)
+			size += em.size
+		}
 	}
 }
 

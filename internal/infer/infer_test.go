@@ -164,17 +164,20 @@ func TestDecoderMatchesInfer(t *testing.T) {
 	}
 }
 
+// decoderErrorCorpus holds malformed inputs every decoder mode must
+// reject.
+var decoderErrorCorpus = []string{
+	`{"a":}`,
+	`{"a" 1}`,
+	`{1: 2}`,
+	`{"dup":1,"dup":2}`,
+	`[1,`,
+	`[1 2]`,
+	`}`,
+}
+
 func TestDecoderErrors(t *testing.T) {
-	bad := []string{
-		`{"a":}`,
-		`{"a" 1}`,
-		`{1: 2}`,
-		`{"dup":1,"dup":2}`,
-		`[1,`,
-		`[1 2]`,
-		`}`,
-	}
-	for _, src := range bad {
+	for _, src := range decoderErrorCorpus {
 		d := NewDecoder(strings.NewReader(src))
 		if tt, err := d.Next(); err == nil {
 			t.Errorf("Decoder accepted %q as %s", src, tt)

@@ -141,10 +141,12 @@ type plainAcc struct {
 	fused types.Type
 }
 
-// Add types one record into the accumulator.
-func (a *plainAcc) Add(t types.Type) {
-	a.sizes.add(t.Size(), 1)
-	a.fused = a.fz.Fuse(a.fused, a.fz.Simplify(t))
+// Add types one record into the accumulator: t is the record's type in
+// the fusion policy's normal form (what a normal-mode decoder returns)
+// and size the Size of its raw phase-one type.
+func (a *plainAcc) Add(t types.Type, size int) {
+	a.sizes.add(size, 1)
+	a.fused = a.fz.Fuse(a.fused, t)
 }
 
 func (a *plainAcc) Merge(other Accumulator) {
@@ -184,14 +186,14 @@ func newAutoAcc(dd *Dedup, fz fusion.Options) *autoAcc {
 	return &autoAcc{dd: dd, fz: fz, ms: intern.NewMultiset(), fused: types.Empty}
 }
 
-// addDegraded counts one record typed without interning.
-func (a *autoAcc) addDegraded(t types.Type) {
-	size := t.Size()
+// addDegraded counts one record typed without interning, from the Size
+// and types.Hash of its raw type.
+func (a *autoAcc) addDegraded(size int, hash uint64) {
 	a.deg.add(size, 1)
 	if a.degTypes == nil {
 		a.degTypes = make(map[uint64]int, 64)
 	}
-	a.degTypes[types.Hash(t)] = size
+	a.degTypes[hash] = size
 }
 
 func (a *autoAcc) Merge(other Accumulator) {

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -9,7 +10,6 @@ import (
 	"repro/internal/enrich"
 	"repro/internal/enrich/monoidtest"
 	"repro/internal/fusion"
-	"repro/internal/infer"
 	"repro/internal/types"
 )
 
@@ -96,19 +96,14 @@ func (p payload) empty() Accumulator {
 }
 
 // buildChunk runs a chunk of records through the payload's real map
-// path (mapChunk for chunked payloads, the stream accumulator
-// otherwise), so the harness exercises exactly what the engine
-// produces.
+// path (mapChunk for chunked payloads, RunStream otherwise), so the
+// harness exercises exactly what the engine produces.
 func buildChunk(t *testing.T, p payload, chunk []byte) Accumulator {
 	t.Helper()
 	if p.stream {
-		acc := p.env.NewStreamAcc()
-		ts, err := infer.InferAll(chunk)
+		acc, _, err := RunStream(context.Background(), p.env, bytes.NewReader(chunk))
 		if err != nil {
 			t.Fatal(err)
-		}
-		for _, typ := range ts {
-			acc.Add(typ)
 		}
 		return acc
 	}

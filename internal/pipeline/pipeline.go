@@ -329,8 +329,9 @@ func RunPooled(ctx context.Context, env *Env, feed Feed, release func([]byte)) (
 // ratio at or above the threshold with enough intern-table growth per
 // record means hash-consing is pure overhead here — and types the rest
 // of the chunk down whichever path won. The interned portion fuses as
-// a left fold over its distinct types, the degraded portion as a
-// balanced tree; both land in one autoAcc.
+// a left fold over its distinct types, simplifying each once; the
+// degraded portion decodes in the decoder's normal mode, which already
+// simplifies, and fuses as a balanced tree. Both land in one autoAcc.
 func (e *Env) mapChunk(chunk []byte) (Accumulator, error) {
 	dd := e.Dedup
 	acc := newAutoAcc(dd, e.Fusion)
@@ -350,6 +351,8 @@ func (e *Env) mapChunk(chunk []byte) (Accumulator, error) {
 	interned := dd.hint.Load() != hintDegrade
 	if interned {
 		dec.SetInterner(dd.Tab)
+	} else {
+		dec.SetNormalizer(e.Fusion)
 	}
 	var (
 		sampled int64
@@ -377,9 +380,13 @@ func (e *Env) mapChunk(chunk []byte) (Accumulator, error) {
 				if dd.decide(int64(acc.ms.Len()), sampled, dd.sampledGrowth()) {
 					interned = false
 					dec.SetInterner(nil)
+					dec.SetNormalizer(e.Fusion)
 				}
 			}
 		} else {
+			// A normal-mode decoder returns the simplified type and
+			// the raw type's size and hash, which the statistics count.
+			acc.addDegraded(dec.RawSizeHash())
 			plain = append(plain, t)
 		}
 	}
@@ -387,19 +394,13 @@ func (e *Env) mapChunk(chunk []byte) (Accumulator, error) {
 	// Interned portion: a left fold over the distinct types. Fusion is
 	// copy-on-write, so a distinct type the accumulated type already
 	// covers returns the accumulator and allocates nothing.
-	// Degraded portion: a balanced tree over the per-record types,
-	// where a left fold would degenerate (see treeFuse).
+	// Degraded portion: a balanced tree over the per-record normal
+	// types, where a left fold would degenerate (see treeFuse).
 	fused := types.Type(types.Empty)
 	for _, el := range acc.ms.Elems() {
 		fused = e.Fusion.Fuse(fused, e.Fusion.Simplify(el.Type))
 	}
 	if len(plain) > 0 {
-		for _, t := range plain {
-			acc.addDegraded(t)
-		}
-		for i, t := range plain {
-			plain[i] = e.Fusion.Simplify(t)
-		}
 		fused = e.Fusion.Fuse(fused, treeFuse(plain, e.Fusion.Fuse))
 	}
 	acc.fused = fused
@@ -520,6 +521,7 @@ func (e *Env) recordChunk(records, bytes int64, fused types.Type) {
 func RunStream(ctx context.Context, env *Env, r io.Reader) (Accumulator, int64, error) {
 	dec := infer.NewDecoder(r)
 	defer dec.Release()
+	dec.SetNormalizer(env.Fusion)
 	if pr := env.promoter(); pr != nil {
 		dec.SetPromoter(pr)
 	}
@@ -554,7 +556,8 @@ func RunStream(ctx context.Context, env *Env, r io.Reader) (Accumulator, int64, 
 		if err != nil {
 			return nil, 0, fmt.Errorf("record %d: %w", records+1, err)
 		}
-		acc.Add(t)
+		size, _ := dec.RawSizeHash()
+		acc.Add(t, size)
 		records++
 		if env.Rec != nil {
 			env.Rec.Add("infer_records", 1)
